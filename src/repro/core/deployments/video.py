@@ -14,7 +14,7 @@ storage").
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Optional
 
 from repro.azure import OrchestratorSpec
 from repro.azure.app import TRIGGER_HTTP
@@ -63,16 +63,8 @@ class VideoWorkload:
 
     def detect_sample(self, start_frame: int) -> List[tuple]:
         """Real detection on a small sample of a chunk's frames."""
-        stop = min(start_frame + self.detect_frames_per_chunk,
-                   self.video.n_frames)
-        sample = chunk_video(self.video, self.video.n_frames)[0]
-        detections: List[tuple] = []
-        for index in range(start_frame, stop):
-            frame = self.video.frame(index)
-            from repro.workloads.video.facedetect import FaceDetector
-            for row, col in FaceDetector(self.model).detect_frame(frame):
-                detections.append((index, row, col))
-        return detections
+        return self.pipeline.detect_frames(
+            start_frame, start_frame + self.detect_frames_per_chunk)
 
 
 _WORKLOADS: Dict[tuple, VideoWorkload] = {}

@@ -12,11 +12,7 @@ from repro.workloads.video.video import (
     chunk_video,
     merge_chunks,
 )
-from repro.workloads.video.facedetect import (
-    DetectionModel,
-    FaceDetector,
-    detect_faces_in_chunk,
-)
+from repro.workloads.video.facedetect import DetectionModel, FaceDetector
 from repro.workloads.video.pipeline import VideoPipeline, VideoResult
 
 __all__ = [
@@ -27,6 +23,5 @@ __all__ = [
     "VideoPipeline",
     "VideoResult",
     "chunk_video",
-    "detect_faces_in_chunk",
     "merge_chunks",
 ]

@@ -9,13 +9,12 @@ vision kernel whose recall/precision on the synthetic frames is testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
 from repro.storage.payload import MB
-from repro.workloads.video.video import SyntheticVideo, VideoChunk
 
 
 @dataclass
@@ -44,11 +43,13 @@ def integral_image(frame: np.ndarray) -> np.ndarray:
     return table
 
 
-def box_sum(table: np.ndarray, top: int, left: int, height: int,
-            width: int) -> float:
-    """Sum of the frame region ``[top:top+height, left:left+width]``."""
-    return float(table[top + height, left + width] - table[top, left + width]
-                 - table[top + height, left] + table[top, left])
+def _box_sums(table: np.ndarray, tops: np.ndarray, lefts: np.ndarray,
+              height: int, width: int) -> np.ndarray:
+    """Sums of the regions ``[top:top+height, left:left+width]`` for
+    every ``(top, left)`` pair that ``tops`` and ``lefts`` broadcast to."""
+    bottoms, rights = tops + height, lefts + width
+    return (table[bottoms, rights] - table[tops, rights]
+            - table[bottoms, lefts] + table[tops, lefts])
 
 
 class FaceDetector:
@@ -63,39 +64,34 @@ class FaceDetector:
         self.model = model
 
     def detect_frame(self, frame: np.ndarray) -> List[Tuple[int, int]]:
-        """Detected (row, col) face positions in one frame."""
+        """Detected (row, col) face positions in one frame.
+
+        Every window position of a size is scored at once by box sums
+        over the integral image.
+        """
         table = integral_image(frame)
         height, width = frame.shape
+        stride = self.model.stride
         hits: List[Tuple[int, int, int]] = []
         for window in self.model.window_sizes:
             if window > min(height, width):
                 continue
-            area = float(window * window)
-            for top in range(0, height - window + 1, self.model.stride):
-                for left in range(0, width - window + 1, self.model.stride):
-                    mean = box_sum(table, top, left, window, window) / area
-                    if mean < self.model.brightness_threshold:
-                        continue
-                    band = max(2, window // 5)
-                    eye_top = top + window // 4
-                    eye_mean = box_sum(table, eye_top, left, band,
-                                       window) / (band * window)
-                    cheek_top = top + window // 2
-                    cheek_mean = box_sum(table, cheek_top, left, band,
-                                         window) / (band * window)
-                    if (cheek_mean - eye_mean
-                            >= self.model.eye_contrast_threshold):
-                        hits.append((top, left, window))
+            tops = np.arange(0, height - window + 1, stride)[:, None]
+            lefts = np.arange(0, width - window + 1, stride)[None, :]
+            mean = _box_sums(table, tops, lefts, window,
+                             window) / float(window * window)
+            band = max(2, window // 5)
+            eye_mean = _box_sums(table, tops + window // 4, lefts, band,
+                                 window) / (band * window)
+            cheek_mean = _box_sums(table, tops + window // 2, lefts, band,
+                                   window) / (band * window)
+            rows, cols = np.nonzero(
+                (mean >= self.model.brightness_threshold)
+                & (cheek_mean - eye_mean
+                   >= self.model.eye_contrast_threshold))
+            hits.extend((top, left, window) for top, left in zip(
+                tops[rows, 0].tolist(), lefts[0, cols].tolist()))
         return _suppress_overlaps(hits)
-
-    def detect_chunk(self, chunk: VideoChunk) -> List[Tuple[int, int, int]]:
-        """All (frame, row, col) detections in a chunk."""
-        detections: List[Tuple[int, int, int]] = []
-        for frame_index, frame in chunk.video.frames(chunk.start_frame,
-                                                     chunk.stop_frame):
-            for row, col in self.detect_frame(frame):
-                detections.append((frame_index, row, col))
-        return detections
 
 
 def _suppress_overlaps(
@@ -111,19 +107,3 @@ def _suppress_overlaps(
         if not overlaps:
             kept.append((top, left, window))
     return [(top, left) for top, left, _ in kept]
-
-
-#: Cache of real per-chunk detections, keyed by the chunk identity — the
-#: measurement campaigns re-run identical chunks hundreds of times.
-_DETECTION_CACHE: dict = {}
-
-
-def detect_faces_in_chunk(chunk: VideoChunk,
-                          model: DetectionModel) -> List[Tuple[int, int, int]]:
-    """Memoized real detection on a chunk."""
-    key = (chunk.video.seed, chunk.video.n_frames, chunk.video.height,
-           chunk.video.width, chunk.start_frame, chunk.stop_frame,
-           model.name)
-    if key not in _DETECTION_CACHE:
-        _DETECTION_CACHE[key] = FaceDetector(model).detect_chunk(chunk)
-    return _DETECTION_CACHE[key]

@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.workloads.video.facedetect import (
-    DetectionModel,
-    detect_faces_in_chunk,
-)
+from repro.workloads.video.facedetect import DetectionModel, FaceDetector
 from repro.workloads.video.video import (
     MergedResult,
     SyntheticVideo,
@@ -31,12 +28,19 @@ class VideoResult:
 
 
 class VideoPipeline:
-    """Eager, in-process runner for the three-step workflow (Figure 5)."""
+    """Eager, in-process runner for the three-step workflow (Figure 5).
+
+    Each frame is detected at most once per pipeline: the measurement
+    campaigns re-run the same chunks many times over.
+    """
 
     def __init__(self, video: SyntheticVideo,
                  model: Optional[DetectionModel] = None):
         self.video = video
         self.model = model or DetectionModel()
+        self._detector = FaceDetector(self.model)
+        #: frame index -> its (row, col) detections; at most n_frames keys
+        self._frame_detections: Dict[int, Tuple[Tuple[int, int], ...]] = {}
 
     def split(self, n_workers: int,
               max_chunk_bytes: Optional[int] = None) -> List[VideoChunk]:
@@ -46,7 +50,23 @@ class VideoPipeline:
 
     def detect(self, chunk: VideoChunk) -> List[Tuple[int, int, int]]:
         """Step 2 (per worker): face detection on one chunk."""
-        return detect_faces_in_chunk(chunk, self.model)
+        if chunk.video is not self.video:
+            raise ValueError("chunk belongs to another video")
+        return self.detect_frames(chunk.start_frame, chunk.stop_frame)
+
+    def detect_frames(self, start: int,
+                      stop: int) -> List[Tuple[int, int, int]]:
+        """(frame, row, col) detections in frames ``[start, stop)``,
+        as a new list."""
+        detections: List[Tuple[int, int, int]] = []
+        for index in range(start, min(stop, self.video.n_frames)):
+            found = self._frame_detections.get(index)
+            if found is None:
+                found = tuple(self._detector.detect_frame(
+                    self.video.frame(index)))
+                self._frame_detections[index] = found
+            detections.extend((index, row, col) for row, col in found)
+        return detections
 
     def merge(self, results: List[Tuple[int, List[Tuple[int, int, int]]]]
               ) -> MergedResult:

@@ -3,6 +3,10 @@
 import pytest
 
 from repro.core import Testbed, build_video_deployments
+from repro.core.deployments import video as video_deployments
+from repro.core.deployments.video import VideoWorkload
+from repro.core.parallel import CampaignSpec, execute_spec
+from repro.workloads.video import FaceDetector
 
 
 def fresh(n_workers=8):
@@ -77,3 +81,51 @@ def test_video_chunks_fit_payload_limits():
     # The Map items (chunk references) crossed the 256 KB boundary check,
     # so the execution succeeded rather than failing on DataLimitExceeded.
     assert result.value["n_chunks"] == 8
+
+
+def test_video_campaigns_detect_each_sampled_frame_once(monkeypatch):
+    """Work counter: three fan-out campaigns of two iterations each share
+    one workload, so each sampled frame runs the detector exactly once."""
+    monkeypatch.setattr(video_deployments, "_WORKLOADS", {})
+    calls = []
+    detect_frame = FaceDetector.detect_frame
+
+    def counting(self, frame):
+        calls.append(1)
+        return detect_frame(self, frame)
+
+    monkeypatch.setattr(FaceDetector, "detect_frame", counting)
+    for name in ("AWS-Step", "Az-Dorch", "GCP-Flows"):
+        execute_spec(CampaignSpec(deployment=name, workload="video",
+                                  fanout=20, iterations=2))
+    workload = video_deployments.video_workload(20, 0)
+    assert workload.detect_frames_per_chunk == 2
+    assert len(calls) == 20 * workload.detect_frames_per_chunk
+
+
+def test_video_workloads_share_no_detection_memo(monkeypatch):
+    first = VideoWorkload(n_workers=4, seed=0)
+    second = VideoWorkload(n_workers=4, seed=0)
+    assert first.pipeline is not second.pipeline
+    calls = []
+    detect_frame = FaceDetector.detect_frame
+    monkeypatch.setattr(
+        FaceDetector, "detect_frame",
+        lambda self, frame: calls.append(1) or detect_frame(self, frame))
+    expected = first.detect_sample(500)
+    assert len(calls) == 2
+    assert second.detect_sample(500) == expected
+    assert len(calls) == 4      # the second workload detected afresh
+    assert first.detect_sample(500) == expected
+    assert len(calls) == 4
+
+
+def test_mutating_a_detect_sample_result_leaves_the_memo_intact():
+    workload = VideoWorkload(n_workers=4, seed=0)
+    start = next(frame for frame in range(0, 2000, 2)
+                 if workload.detect_sample(frame))
+    first = workload.detect_sample(start)
+    expected = list(first)
+    first.append((start, -1, -1))
+    first[0] = (start, -2, -2)
+    assert workload.detect_sample(start) == expected
