@@ -75,11 +75,11 @@ def ml_training_campaign(name: str, scale: str,
 
     Fig 6, Fig 7, Fig 8 and Fig 11 all read the same campaigns, so the
     first request for a ``(scale, iterations)`` runs every variant in one
-    :class:`ParallelRunner` batch (one pool spin-up, shared workload
-    prewarm) and later requests hit the in-process memo or the on-disk
-    cache.  Returns ``(campaign, cost)`` where ``cost`` is the variant's
-    :class:`~repro.core.costs.CostReport` amortized over the campaign's
-    ``warmup + iterations`` runs.
+    :class:`ParallelRunner` batch (one shared workload prewarm before
+    the worker processes fork) and later requests hit the in-process
+    memo or the on-disk cache.  Returns ``(campaign, cost)`` where
+    ``cost`` is the variant's :class:`~repro.core.costs.CostReport`
+    amortized over the campaign's ``warmup + iterations`` runs.
     """
     key = (name, scale, iterations)
     if key not in _ML_CAMPAIGNS:

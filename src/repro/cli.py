@@ -47,7 +47,6 @@ from repro.core.parallel import CampaignSpec, ParallelRunner
 from repro.core.persistence import save_results
 from repro.core.metrics import percentile
 from repro.core.report import render_bars, render_table
-from repro.core.supervise import SupervisedRunner
 from repro.platforms.backend import backend_names
 from repro.platforms.faults import FaultPlan
 
@@ -168,12 +167,6 @@ def _cache(args: argparse.Namespace) -> Optional[ResultCache]:
     return ResultCache(getattr(args, "cache_dir", None))
 
 
-def _runner(args: argparse.Namespace) -> ParallelRunner:
-    """The campaign runner the parsed global options ask for."""
-    return ParallelRunner(workers=getattr(args, "jobs", 1),
-                          cache=_cache(args))
-
-
 def _check_resume_flags(args: argparse.Namespace) -> None:
     """``--resume`` without ``--journal`` is an error, not a no-op.
 
@@ -205,29 +198,29 @@ def _interrupted_exit(journal) -> None:
 
 
 def _run_specs(args: argparse.Namespace, specs) -> list:
-    """Run a command's specs, supervised when the new flags ask for it.
+    """Run a command's specs on one :class:`ParallelRunner` built from
+    the flags.
 
-    Without ``--journal``/``--spec-timeout``/``--max-worker-restarts``
-    this is exactly the old ``ParallelRunner`` path.  With any of them,
-    a :class:`SupervisedRunner` executes the sweep: completed outcomes
-    are journaled immediately, failures are reported per spec (exit 1)
-    instead of discarding finished work, and SIGINT/SIGTERM leave a
-    resumable journal behind (exit 130).
+    Completed outcomes are cached (and, with ``--journal``, journaled)
+    as they finish; failures are reported per spec (exit 1) instead of
+    discarding finished work, and an interrupt exits 130, leaving a
+    resumable journal behind when there is one.  A journaled or
+    deadlined sweep gets two worker restarts unless
+    ``--max-worker-restarts`` says otherwise, which gives each spec its
+    own worker process even at ``-j 1``.
     """
     journal = getattr(args, "journal", None)
     timeout = getattr(args, "spec_timeout", None)
     restarts = getattr(args, "max_worker_restarts", None)
     _check_resume_flags(args)
-    if journal is None and timeout is None and restarts is None:
-        return _runner(args).run(specs)
-
-    runner = SupervisedRunner(
+    if restarts is None:
+        restarts = 2 if journal is not None or timeout is not None else 0
+    runner = ParallelRunner(
         workers=getattr(args, "jobs", 1), cache=_cache(args),
-        journal=journal, spec_timeout_s=timeout,
-        max_restarts=restarts if restarts is not None else 2)
+        journal=journal, spec_timeout_s=timeout, max_restarts=restarts)
     try:
-        result = runner.run(specs, argv=getattr(args, "argv", None),
-                            resume=getattr(args, "resume", False))
+        result = runner.sweep(specs, argv=getattr(args, "argv", None),
+                              resume=getattr(args, "resume", False))
     except JournalError as error:
         raise SystemExit(f"repro: {error}") from error
     except KeyboardInterrupt:
@@ -898,8 +891,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME,NAME,...",
         help="restrict variants to these platform backends "
              f"(default: all of {list(backend_names())})")
-    # Crash-safety flags shared by every campaign command.  Any of them
-    # switches the sweep onto the SupervisedRunner.
+    # Crash-safety flags shared by every campaign command.
     supervise_opts = argparse.ArgumentParser(add_help=False)
     supervise_opts.add_argument(
         "--journal", metavar="DIR", default=None,
@@ -918,7 +910,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-worker-restarts", type=_nonnegative_int, default=None,
         metavar="N",
         help="restart budget per campaign after worker crashes, stalls "
-             "or timeouts (default 2)")
+             "or timeouts (default 2 with --journal or --spec-timeout, "
+             "else 0)")
     commands = parser.add_subparsers(dest="command", required=True)
 
     latency = commands.add_parser(

@@ -37,21 +37,18 @@ from repro.core.costs import CostReport, cost_report
 from repro.core.parallel import (
     CampaignOutcome,
     CampaignSpec,
+    ChaosPlan,
     ParallelRunner,
+    PartialSweepResult,
     SpecExecutionError,
+    SpecFailure,
+    SpecTimeout,
     SweepError,
+    WorkerCrash,
     execute_spec,
 )
 from repro.core.cache import ResultCache
 from repro.core.checkpoint import JournalError, SweepJournal
-from repro.core.supervise import (
-    ChaosPlan,
-    PartialSweepResult,
-    SpecFailure,
-    SpecTimeout,
-    SupervisedRunner,
-    WorkerCrash,
-)
 from repro.core.reliability import ReliabilitySummary, execute_reliability_spec
 from repro.core.overload import OverloadSummary, execute_overload_spec
 from repro.core.mitigation import (
@@ -94,7 +91,6 @@ __all__ = [
     "SpecExecutionError",
     "SpecFailure",
     "SpecTimeout",
-    "SupervisedRunner",
     "SweepError",
     "SweepJournal",
     "WorkerCrash",

@@ -27,8 +27,10 @@ A :class:`SweepJournal` is a directory::
   recomputed: corruption costs one spec, never the sweep.
 * **Resume** loads the checksum-verified entries, cross-checks each
   against the manifest (position *and* cache key must agree), and
-  reports what is missing.  The supervised runner then executes only
-  the missing specs.
+  reports what is missing.  :class:`~repro.core.parallel.ParallelRunner`
+  (given ``journal=``) then executes only the missing specs.  The
+  runner imports this module lazily, because this module imports
+  :mod:`repro.core.parallel`.
 
 The journal deliberately reuses the cache's document shape
 (:func:`repro.core.persistence.outcome_to_dict`), so a journal entry is

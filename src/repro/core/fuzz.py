@@ -16,7 +16,7 @@ into a search:
   hedging stacks) are reachable; every draw is reproducible from
   ``(seed, index)`` alone.
 * :func:`check_spec` — the differential oracle: executes one spec under
-  the invariant auditor across the serial, pooled, cache-replay and
+  the invariant auditor across the serial, runner, cache-replay and
   persistence paths (plus a supervised cross-process reference when the
   session provides one) and asserts bit-identical outcome checksums,
   typed-exception parity, and spec round-trip exactness through
@@ -32,7 +32,8 @@ into a search:
   in a regression corpus that ``repro fuzz replay`` and CI re-check, so
   every found bug stays fixed.
 * :func:`run_fuzz` — a fuzz session: specs execute under
-  :class:`~repro.core.supervise.SupervisedRunner` with an optional
+  :class:`~repro.core.parallel.ParallelRunner` (one worker process
+  per spec, since the session passes a restart budget) with an optional
   :class:`~repro.core.checkpoint.SweepJournal`, so fuzzing itself is
   crash-safe, SIGINT-drainable and resumable with the same journal
   plumbing the campaign commands use.  Same seed + budget ⇒ same specs,
@@ -83,7 +84,6 @@ from repro.core.persistence import (
     spec_from_dict,
     spec_to_dict,
 )
-from repro.core.supervise import SupervisedRunner
 
 FORMAT_VERSION = 1
 
@@ -346,7 +346,7 @@ def _error_fingerprint(error: BaseException) -> str:
 
     :class:`SpecExecutionError` already carries exactly this string for
     the *inner* error (workers format it the same way), so serial and
-    pooled failures compare equal when they are the same failure.
+    runner failures compare equal when they are the same failure.
     """
     if isinstance(error, SpecExecutionError):
         return error.message
@@ -413,9 +413,10 @@ def check_spec(spec: CampaignSpec,
     ``serial``
         :func:`execute_spec` in this process.
     ``pool``
-        :class:`ParallelRunner` — the guarded batch path (single specs
-        execute in-process; the cross-*process* check is the
-        ``supervised`` reference a fuzz session passes in).
+        :class:`ParallelRunner` at ``workers=1`` — the runner's
+        in-process path with its typed failures (the cross-*process*
+        check is the ``supervised`` reference a fuzz session passes
+        in).
     ``cache``
         The serial outcome written to and re-read from a fresh
         :class:`ResultCache` (content-addressed replay).
@@ -425,7 +426,7 @@ def check_spec(spec: CampaignSpec,
 
     Plus, always, spec round-trip exactness through
     :func:`spec_to_dict`/:func:`spec_from_dict`.  A ``reference``
-    (typically the supervised runner's cross-process observation) joins
+    (typically the session runner's cross-process observation) joins
     the comparison as one more path.
     """
     findings: List[str] = []
@@ -726,7 +727,7 @@ class _JournalSlice(SweepJournal):
     """A chunk-local view of the session's full-budget journal.
 
     The session freezes one manifest for the *entire* spec list up
-    front, then feeds specs to :class:`SupervisedRunner` in chunks (so
+    front, then feeds specs to :class:`ParallelRunner` in chunks (so
     a time budget can stop between chunks).  The runner journals with
     chunk-local indices; this view remaps them onto the global sweep
     positions and leaves manifest creation to the session — preserving
@@ -794,10 +795,12 @@ def run_fuzz(seed: int, budget: int,
     """One deterministic fuzz session.
 
     Draws ``budget`` specs from ``seed``'s stream, executes them under
-    :class:`SupervisedRunner` (per-spec worker processes — the
-    cross-process leg of the differential) with an optional crash-safe
-    journal, differentially checks every executed spec, shrinks each
-    finding to a minimal reproducer and writes it to ``corpus_dir``.
+    :class:`ParallelRunner` with an optional crash-safe journal,
+    differentially checks every executed spec, shrinks each finding to
+    a minimal reproducer and writes it to ``corpus_dir``.  The default
+    ``max_restarts`` gives every spec its own worker process, which is
+    the cross-process leg of the differential (``supervised``); with
+    ``max_restarts=0`` at ``workers=1`` specs would run in-process.
 
     Determinism: with no time budget, two sessions with the same
     ``(seed, budget)`` produce identical spec sequences, identical
@@ -832,12 +835,12 @@ def run_fuzz(seed: int, budget: int,
             result.exhausted = True
             break
         chunk = specs[base:base + chunk_size]
-        runner = SupervisedRunner(
+        runner = ParallelRunner(
             workers=workers, cache=cache,
             journal=(_JournalSlice(journal, base, specs)
                      if journal is not None else None),
             spec_timeout_s=spec_timeout_s, max_restarts=max_restarts)
-        partial = runner.run(chunk, resume=True)
+        partial = runner.sweep(chunk, resume=True)
         for offset, outcome in enumerate(partial.outcomes):
             if outcome is not None:
                 outcomes[base + offset] = outcome

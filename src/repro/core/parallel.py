@@ -1,4 +1,4 @@
-"""Parallel campaign execution: fan independent campaigns across cores.
+"""Campaign execution: fan independent campaigns out, safely.
 
 The paper's protocol is "over one hundred iterations of each
 implementation" across six variants — hours of serial simulation, yet
@@ -13,11 +13,44 @@ independence explicit:
   :class:`Testbed` from the spec and replays it.  Running a spec in the
   parent process, a worker process, or from a cache file yields
   bit-identical results.
-* :class:`ParallelRunner` — schedules a list of specs across a
-  ``ProcessPoolExecutor`` (optionally consulting a
-  :class:`repro.core.cache.ResultCache`) and streams the outcomes back
-  in spec order, drop-in equivalent to driving the serial
-  :class:`ExperimentRunner` yourself.
+* :class:`ParallelRunner` — the one campaign runner.  It streams
+  outcomes back in spec order, consults an optional
+  :class:`repro.core.cache.ResultCache`, checkpoints every completed
+  outcome to an optional :class:`repro.core.checkpoint.SweepJournal`,
+  and reports failures as typed per-spec records
+  (:class:`PartialSweepResult`) instead of discarding finished work.
+
+**Execution mode** follows from the runner's arguments, not from an
+option.  A spec runs in its own worker process whenever there is a
+process boundary to use or enforce — ``workers > 1``, a
+``spec_timeout_s``, a :class:`ChaosPlan` or a restart budget
+``max_restarts > 0``.  Otherwise it runs in the calling process, with no
+fork, no signal handlers and no supervision overhead.  In worker mode
+the runner supervises each worker:
+
+* **Isolation** — a fresh ``multiprocessing.Process`` per spec, at most
+  ``workers`` at once, so a SIGKILL, OOM kill or segfault costs one
+  attempt of one spec, never the sweep.
+* **Heartbeats** — every worker beats a shared timestamp from a
+  background thread; a worker whose heart stops for
+  :data:`STALL_TIMEOUT_S` is killed even if its deadline is far away.
+* **Deadlines** — ``spec_timeout_s`` bounds each attempt's wall-clock
+  time; a late worker is SIGKILLed and the spec becomes a
+  :class:`SpecTimeout` once restarts are exhausted.
+* **Bounded restarts** — crashed, stalled and timed-out specs are
+  relaunched up to ``max_restarts`` times with capped exponential
+  backoff.  A :class:`SpecExecutionError` is never retried: the
+  simulation is a pure function of the spec, so it would fail again.
+* **Signal safety** — SIGINT/SIGTERM stop the sweep *after* draining
+  every completed result from worker pipes into the journal; a second
+  signal forces immediate exit.
+* **Self-chaos** — a :class:`ChaosPlan` SIGKILLs the runner's own
+  workers at seeded points, which is how the test suite proves recovery
+  yields byte-identical outcomes.
+
+When worker processes cannot be started at all (sandboxed
+interpreters), worker mode degrades to the in-process path: no crash
+isolation, but journaling and typed failures still hold.
 
 Example
 -------
@@ -36,11 +69,28 @@ import hashlib
 import json
 import multiprocessing
 import os
-import pickle
+import random
+import signal
+import sys
+import threading
+import time
 import traceback
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from collections import deque
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from multiprocessing.connection import wait as _connection_wait
+from pathlib import Path
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.costs import CostReport, cost_report
 from repro.core.deployments import (
@@ -57,16 +107,28 @@ from repro.core.testbed import Testbed
 from repro.platforms.backend import backend_names, get_backend
 from repro.platforms.faults import FaultPlan
 
+if TYPE_CHECKING:
+    from repro.core.checkpoint import SweepJournal
+
+#: how often workers refresh their heartbeat timestamp
+HEARTBEAT_INTERVAL_S = 0.2
+#: how long the supervisor waits on worker pipes per scheduling round
+POLL_INTERVAL_S = 0.05
+#: delay before the first restart; doubles per attempt up to the cap
+BACKOFF_BASE_S = 0.25
+BACKOFF_CAP_S = 5.0
+#: a worker whose heartbeat is older than this is killed as stalled
+#: (``None`` disables stall detection)
+STALL_TIMEOUT_S: Optional[float] = 30.0
+
+
 class SweepError(Exception):
     """Base of the typed sweep-failure taxonomy.
 
     Every subclass pickles cleanly (workers raise across process
     boundaries) and names the failing spec's content hash, so a log
     line identifies exactly which configuration of a thousand-spec
-    sweep went wrong.  :class:`SpecExecutionError` lives here; the
-    supervision-level failures (:class:`~repro.core.supervise.WorkerCrash`,
-    :class:`~repro.core.supervise.SpecTimeout`) extend the taxonomy in
-    :mod:`repro.core.supervise`.
+    sweep went wrong.
     """
 
 
@@ -74,7 +136,7 @@ class SpecExecutionError(SweepError):
     """One spec's campaign raised inside a worker.
 
     Deterministic by construction — the simulation is a pure function
-    of the spec — so supervisors report these instead of retrying them.
+    of the spec — so the runner reports these instead of retrying them.
     """
 
     def __init__(self, spec: "CampaignSpec", message: str,
@@ -106,6 +168,42 @@ class SpecExecutionError(SweepError):
         # ``__dict__`` when a worker ships this failure to its parent.
         return (type(self),
                 (self.spec, self.message, self.traceback_text))
+
+
+class WorkerCrash(SweepError):
+    """A worker died (SIGKILL, OOM, segfault, stalled heartbeat)
+    without reporting a result for its spec."""
+
+    def __init__(self, spec: "CampaignSpec", detail: str):
+        super().__init__(spec, detail)
+        self.spec = spec
+        self.spec_hash = spec.spec_hash()
+        self.detail = detail
+
+    def __str__(self) -> str:
+        return (f"worker for spec {self.spec_hash[:12]} "
+                f"({self.spec.deployment} {self.spec.campaign}) "
+                f"crashed: {self.detail}")
+
+
+class SpecTimeout(SweepError):
+    """An attempt exceeded its wall-clock deadline and was killed.
+
+    Wall-clock, not simulated time — a deadline miss usually means a
+    swamped machine rather than a broken spec, which is why timeouts
+    are retried (bounded) like crashes.
+    """
+
+    def __init__(self, spec: "CampaignSpec", timeout_s: float):
+        super().__init__(spec, timeout_s)
+        self.spec = spec
+        self.spec_hash = spec.spec_hash()
+        self.timeout_s = timeout_s
+
+    def __str__(self) -> str:
+        return (f"spec {self.spec_hash[:12]} ({self.spec.deployment} "
+                f"{self.spec.campaign}) exceeded its {self.timeout_s:g}s "
+                f"wall-clock deadline")
 
 
 WORKLOADS = ("ml-training", "ml-inference", "video")
@@ -415,17 +513,6 @@ def execute_spec(spec: CampaignSpec) -> CampaignOutcome:
                            audit=report)
 
 
-def _guarded_execute(
-        spec: CampaignSpec) -> Union[CampaignOutcome, SpecExecutionError]:
-    """:func:`execute_spec`, but a raising spec becomes a typed failure
-    value so sibling specs in the same batch still complete."""
-    try:
-        return execute_spec(spec)
-    except Exception as error:
-        return SpecExecutionError(spec, f"{type(error).__name__}: {error}",
-                                  traceback.format_exc(), cause=error)
-
-
 def _prewarm_workloads(specs: Iterable[CampaignSpec]) -> None:
     """Memoize the real-compute workload artifacts in this process.
 
@@ -443,105 +530,567 @@ def _prewarm_workloads(specs: Iterable[CampaignSpec]) -> None:
             video_workload(spec.fanout, spec.workload_seed)
 
 
+# -- sweep results -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ChaosPlan:
+    """Seeded self-chaos: SIGKILL our own workers mid-spec.
+
+    The decision to kill attempt ``a`` of spec ``i`` is drawn from
+    ``Random(f"chaos:{seed}:{i}:{a}")`` — fully deterministic, so a
+    chaos test can assert exact recovery behaviour.  ``max_kills_per_spec``
+    bounds the kills below the runner's restart budget so every spec
+    eventually completes.
+    """
+
+    kill_probability: float = 1.0
+    kill_after_s: float = 0.05
+    max_kills_per_spec: int = 1
+    seed: int = 0
+
+    def __post_init__(self):
+        if not 0.0 <= self.kill_probability <= 1.0:
+            raise ValueError("kill_probability must lie in [0, 1]")
+        if self.kill_after_s < 0:
+            raise ValueError("kill_after_s must be non-negative")
+        if self.max_kills_per_spec < 0:
+            raise ValueError("max_kills_per_spec must be non-negative")
+
+    def should_kill(self, index: int, attempt: int,
+                    kills_so_far: int) -> bool:
+        if kills_so_far >= self.max_kills_per_spec:
+            return False
+        stream = random.Random(f"chaos:{self.seed}:{index}:{attempt}")
+        return stream.random() < self.kill_probability
+
+
+@dataclass
+class SpecFailure:
+    """One spec that exhausted supervision: its typed terminal error."""
+
+    index: int
+    spec: CampaignSpec
+    error: SweepError
+    attempts: int
+
+    @property
+    def kind(self) -> str:
+        return type(self.error).__name__
+
+    def __str__(self) -> str:
+        return (f"[{self.kind} after {self.attempts} "
+                f"attempt{'s' if self.attempts != 1 else ''}] {self.error}")
+
+
+@dataclass
+class PartialSweepResult:
+    """A finished sweep, failures included instead of raised away.
+
+    ``outcomes`` is in spec order with ``None`` holes where a spec
+    failed terminally; ``failures`` explains each hole.  Completed
+    outcomes are never discarded — they are already in the journal and
+    cache by the time this object exists.
+    """
+
+    outcomes: List[Optional[CampaignOutcome]]
+    failures: List[SpecFailure] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    @property
+    def completed(self) -> List[CampaignOutcome]:
+        return [outcome for outcome in self.outcomes if outcome is not None]
+
+    def raise_if_failed(self) -> List[CampaignOutcome]:
+        """``outcomes`` when clean; raises the first failure otherwise."""
+        if self.failures:
+            error = self.failures[0].error
+            raise error from getattr(error, "cause", None)
+        return self.outcomes  # type: ignore[return-value]
+
+
+# -- worker side -------------------------------------------------------------------
+
+
+def _worker_main(conn, heartbeat, spec: CampaignSpec,
+                 heartbeat_interval_s: float) -> None:
+    """Run one spec in a child process, beating while it works.
+
+    SIGINT is ignored here: a terminal Ctrl-C reaches the whole process
+    group, and shutdown (drain pipes, then kill) is the supervisor's
+    job, not each worker's.
+    """
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+    except (ValueError, OSError):
+        pass
+    stop = threading.Event()
+
+    def beat() -> None:
+        while not stop.is_set():
+            heartbeat.value = time.monotonic()
+            stop.wait(heartbeat_interval_s)
+
+    thread = threading.Thread(target=beat, daemon=True)
+    thread.start()
+    try:
+        try:
+            outcome = execute_spec(spec)
+        except BaseException as error:
+            conn.send(("error", f"{type(error).__name__}: {error}",
+                       traceback.format_exc()))
+        else:
+            conn.send(("ok", outcome))
+    finally:
+        stop.set()
+        conn.close()
+
+
+class _Task:
+    """A spec awaiting (re)execution."""
+
+    __slots__ = ("index", "spec", "attempt", "not_before")
+
+    def __init__(self, index: int, spec: CampaignSpec,
+                 attempt: int = 1, not_before: float = 0.0):
+        self.index = index
+        self.spec = spec
+        self.attempt = attempt
+        self.not_before = not_before
+
+
+class _Worker:
+    """Supervisor-side bookkeeping for one live worker process."""
+
+    __slots__ = ("task", "process", "conn", "heartbeat", "deadline",
+                 "kill_at")
+
+    def __init__(self, task: _Task, process, conn, heartbeat,
+                 deadline: Optional[float], kill_at: Optional[float]):
+        self.task = task
+        self.process = process
+        self.conn = conn
+        self.heartbeat = heartbeat
+        self.deadline = deadline
+        self.kill_at = kill_at
+
+
+class _PoolUnavailable(Exception):
+    """Worker processes cannot be started; use the in-process path."""
+
+
+# -- the runner --------------------------------------------------------------------
+
+
 class ParallelRunner:
     """Drives a batch of campaign specs, in parallel when it helps.
 
     Results come back as :class:`CampaignOutcome` objects in spec order
     and are bit-identical to running each spec serially through
     :class:`ExperimentRunner` (asserted by
-    ``tests/core/test_parallel.py``).  With a ``cache``, completed specs
-    are reused across invocations instead of re-simulated.
+    ``tests/core/test_parallel.py``), whichever execution mode the
+    arguments select (see the module docstring).  With a ``cache``,
+    completed specs are reused across invocations instead of
+    re-simulated; with a ``journal`` (a path or a
+    :class:`~repro.core.checkpoint.SweepJournal`), each completed
+    outcome is checkpointed the moment it exists.
 
-    ``workers`` defaults to the machine's CPU count; ``workers <= 1``
-    runs everything serially in-process (no executor overhead).  If the
-    process pool cannot be used (sandboxed interpreter, unpicklable
-    override values), the runner falls back to the serial path rather
-    than failing the campaign.
+    :meth:`sweep` returns a :class:`PartialSweepResult`; :meth:`run` is
+    the strict form, ``sweep(specs).raise_if_failed()``: every healthy
+    spec completes and is cached before the first typed failure is
+    raised, so a re-run after the fix only pays for the broken ones.
+
+    ``workers`` defaults to the machine's CPU count.
     """
 
-    def __init__(self, workers: Optional[int] = None, cache: Any = None):
+    def __init__(self, workers: Optional[int] = None, cache: Any = None,
+                 journal: Optional[Union[str, Path, SweepJournal]] = None,
+                 spec_timeout_s: Optional[float] = None,
+                 max_restarts: int = 0,
+                 chaos: Optional[ChaosPlan] = None):
         if workers is None:
             workers = os.cpu_count() or 1
         if workers < 1:
             raise ValueError("workers must be positive")
+        if spec_timeout_s is not None and spec_timeout_s <= 0:
+            raise ValueError("spec_timeout_s must be positive (or None)")
+        if max_restarts < 0:
+            raise ValueError("max_restarts must be non-negative")
+        if journal is not None:
+            # Imported here: checkpoint imports this module.
+            from repro.core.checkpoint import SweepJournal
+            if not isinstance(journal, SweepJournal):
+                journal = SweepJournal(journal)
         self.workers = workers
         self.cache = cache
+        self.journal = journal
+        self.spec_timeout_s = spec_timeout_s
+        self.max_restarts = max_restarts
+        self.chaos = chaos
+        self._interrupted: Optional[int] = None
+        self._interrupt_count = 0
+        self._previous_handlers: Dict[int, Any] = {}
+
+    @property
+    def in_process(self) -> bool:
+        """True when no argument asks for a process boundary, so specs
+        run in the calling process."""
+        return (self.workers <= 1 and self.spec_timeout_s is None
+                and self.chaos is None and self.max_restarts == 0)
+
+    # -- public entry points ----------------------------------------------------
 
     def run(self, specs: Sequence[CampaignSpec]) -> List[CampaignOutcome]:
+        """Outcomes in spec order; raises the first typed failure."""
+        return self.sweep(specs).raise_if_failed()
+
+    def sweep(self, specs: Sequence[CampaignSpec],
+              argv: Optional[Sequence[str]] = None,
+              resume: bool = True) -> PartialSweepResult:
+        """Execute ``specs``; never raises away completed work.
+
+        Interrupts are the exception: in worker mode SIGINT/SIGTERM
+        drain completed outcomes and then raise ``KeyboardInterrupt``;
+        in-process, ``KeyboardInterrupt`` propagates at once.  Either
+        way the journal already holds every completed outcome.
+        ``argv`` is recorded in a new journal's manifest.
+        """
         specs = list(specs)
         outcomes: List[Optional[CampaignOutcome]] = [None] * len(specs)
+        failures: List[SpecFailure] = []
 
-        misses: List[int] = []
+        if self.journal is not None:
+            self.journal.create_or_open(specs, argv=argv, resume=resume)
+            # Journal and cache mirror each other: journaled outcomes
+            # seed the cache (below, cache hits are journaled), so after
+            # a resume either store alone can replay the whole sweep.
+            for index, outcome in self.journal.completed(specs).items():
+                outcomes[index] = outcome
+                if self.cache is not None:
+                    self.cache.put(outcome.spec, outcome)
+
+        pending: Deque[_Task] = deque()
         for index, spec in enumerate(specs):
+            if outcomes[index] is not None:
+                continue
             hit = self.cache.get(spec) if self.cache is not None else None
             if hit is not None:
                 hit.cached = True
                 outcomes[index] = hit
+                if self.journal is not None:
+                    self.journal.record(index, hit)
             else:
-                misses.append(index)
+                pending.append(_Task(index, spec))
 
-        if misses:
-            computed = self._execute([specs[i] for i in misses])
-            failures: List[SpecExecutionError] = []
-            for index, outcome in zip(misses, computed):
-                if isinstance(outcome, SpecExecutionError):
-                    failures.append(outcome)
-                    continue
-                outcomes[index] = outcome
-                if self.cache is not None:
-                    self.cache.put(outcome.spec, outcome)
-            if failures:
-                # Every healthy spec has already completed (and been
-                # cached), so a re-run after the fix only pays for the
-                # broken ones.  SupervisedRunner offers the no-raise
-                # variant of this contract (PartialSweepResult).
-                raise failures[0] from failures[0].cause
-        return outcomes  # type: ignore[return-value]
-
-    def run_campaigns(self,
-                      specs: Sequence[CampaignSpec]) -> List[CampaignResult]:
-        """Like :meth:`run` but returns just the campaign results."""
-        return [outcome.campaign for outcome in self.run(specs)]
-
-    # -- internals --------------------------------------------------------------
-
-    def _execute(self, specs: Sequence[CampaignSpec],
-                 ) -> List[Union[CampaignOutcome, SpecExecutionError]]:
-        if self.workers <= 1 or len(specs) <= 1:
-            return [_guarded_execute(spec) for spec in specs]
-        try:
-            return self._execute_pool(specs)
-        except (BrokenExecutor, OSError, ValueError, TypeError,
-                AttributeError, ImportError, pickle.PicklingError):
-            # Process pools are a perf optimization, never a correctness
-            # requirement: degrade to the serial path.
-            return [_guarded_execute(spec) for spec in specs]
-
-    def _execute_pool(self, specs: Sequence[CampaignSpec],
-                      ) -> List[Union[CampaignOutcome, SpecExecutionError]]:
-        _prewarm_workloads(specs)
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else None)
-        max_workers = min(self.workers, len(specs))
-        results: List[Union[CampaignOutcome, SpecExecutionError]] = []
-        with ProcessPoolExecutor(max_workers=max_workers,
-                                 mp_context=context) as pool:
-            futures = [pool.submit(execute_spec, spec) for spec in specs]
-            for spec, future in zip(specs, futures):
-                # One bad spec must not abort the whole pool: collect a
-                # typed, hash-bearing failure and keep draining.  Pool
-                # machinery faults (a broken executor, unpicklable spec
-                # payloads) still propagate so _execute can fall back.
+        if pending and self.in_process:
+            self._run_inline(pending, outcomes, failures)
+        elif pending:
+            self._install_signal_handlers()
+            try:
                 try:
-                    results.append(future.result())
-                except (BrokenExecutor, pickle.PicklingError):
-                    raise
-                except Exception as error:
-                    results.append(SpecExecutionError(
-                        spec, f"{type(error).__name__}: {error}",
-                        traceback.format_exc(), cause=error))
-        return results
+                    self._run_processes(pending, outcomes, failures)
+                except _PoolUnavailable:
+                    self._run_inline(pending, outcomes, failures)
+            finally:
+                self._restore_signal_handlers()
+            if self._interrupted is not None:
+                raise KeyboardInterrupt(
+                    f"sweep interrupted by signal {self._interrupted}; "
+                    f"completed outcomes are journaled")
+
+        failures.sort(key=lambda failure: failure.index)
+        return PartialSweepResult(outcomes=outcomes, failures=failures)
+
+    def resume(self, argv: Optional[Sequence[str]] = None,
+               ) -> PartialSweepResult:
+        """Finish a journaled sweep using the manifest's own spec list."""
+        if self.journal is None:
+            raise ValueError("resume() needs a journal")
+        manifest = self.journal.open()
+        return self.sweep(manifest.specs(), argv=argv)
+
+    # -- completion plumbing ----------------------------------------------------
+
+    def _complete(self, index: int, outcome: CampaignOutcome,
+                  outcomes: List[Optional[CampaignOutcome]]) -> None:
+        """Flush one finished spec everywhere, the moment it finishes."""
+        outcomes[index] = outcome
+        if self.journal is not None:
+            self.journal.record(index, outcome)
+        if self.cache is not None:
+            self.cache.put(outcome.spec, outcome)
+
+    def _retry_or_fail(self, task: _Task, error: SweepError,
+                       pending: Deque[_Task],
+                       failures: List[SpecFailure]) -> None:
+        if task.attempt <= self.max_restarts:
+            delay = min(BACKOFF_CAP_S,
+                        BACKOFF_BASE_S * (2 ** (task.attempt - 1)))
+            pending.append(_Task(task.index, task.spec,
+                                 attempt=task.attempt + 1,
+                                 not_before=time.monotonic() + delay))
+        else:
+            failures.append(SpecFailure(index=task.index, spec=task.spec,
+                                        error=error,
+                                        attempts=task.attempt))
+
+    # -- in-process execution ---------------------------------------------------
+
+    def _run_inline(self, pending: Deque[_Task],
+                    outcomes: List[Optional[CampaignOutcome]],
+                    failures: List[SpecFailure]) -> None:
+        """Execute specs in this process, in order.
+
+        ``execute_spec`` is looked up in this module at call time, so a
+        caller that wraps the module global (tracing) sees every spec.
+        """
+        while pending:
+            if self._interrupted is not None:
+                return
+            task = pending.popleft()
+            try:
+                outcome = execute_spec(task.spec)
+            except Exception as error:
+                failures.append(SpecFailure(
+                    index=task.index, spec=task.spec,
+                    error=SpecExecutionError(
+                        task.spec, f"{type(error).__name__}: {error}",
+                        traceback.format_exc(), cause=error),
+                    attempts=task.attempt))
+                continue
+            self._complete(task.index, outcome, outcomes)
+
+    # -- worker-process execution -----------------------------------------------
+
+    def _run_processes(self, pending: Deque[_Task],
+                       outcomes: List[Optional[CampaignOutcome]],
+                       failures: List[SpecFailure]) -> None:
+        try:
+            _prewarm_workloads([task.spec for task in pending])
+            methods = multiprocessing.get_all_start_methods()
+            context = multiprocessing.get_context(
+                "fork" if "fork" in methods else None)
+        except Exception as error:
+            raise _PoolUnavailable(str(error)) from error
+
+        active: List[_Worker] = []
+        kills: Dict[int, int] = {}
+        launched_any = False
+        try:
+            while pending or active:
+                if self._interrupted is not None:
+                    self._drain_and_stop(active, outcomes)
+                    return
+                now = time.monotonic()
+                while pending and len(active) < self.workers:
+                    task = self._pop_eligible(pending, now)
+                    if task is None:
+                        break
+                    try:
+                        active.append(
+                            self._launch(context, task, kills))
+                        launched_any = True
+                    except (OSError, ValueError, AttributeError,
+                            ImportError) as error:
+                        if launched_any:
+                            # Mid-sweep launch failure: treat as a
+                            # crash of this attempt, keep supervising.
+                            self._retry_or_fail(
+                                task,
+                                WorkerCrash(task.spec,
+                                            f"launch failed: {error}"),
+                                pending, failures)
+                        else:
+                            # Nothing launched yet: the pool is unusable.
+                            # Re-queue this task first — it was already
+                            # popped, and the inline path only sees what
+                            # is still in the deque.
+                            pending.appendleft(task)
+                            raise _PoolUnavailable(str(error)) from error
+                self._reap(active, pending, outcomes, failures, kills)
+        finally:
+            for worker in active:
+                self._kill(worker)
+                self._finish(worker)
+
+    def _pop_eligible(self, pending: Deque[_Task],
+                      now: float) -> Optional[_Task]:
+        for _ in range(len(pending)):
+            task = pending.popleft()
+            if task.not_before <= now:
+                return task
+            pending.append(task)
+        return None
+
+    def _launch(self, context, task: _Task,
+                kills: Dict[int, int]) -> _Worker:
+        parent_conn, child_conn = context.Pipe(duplex=False)
+        heartbeat = context.Value("d", time.monotonic())
+        process = context.Process(
+            target=_worker_main,
+            args=(child_conn, heartbeat, task.spec, HEARTBEAT_INTERVAL_S),
+            daemon=True)
+        process.start()
+        child_conn.close()
+        now = time.monotonic()
+        deadline = (now + self.spec_timeout_s
+                    if self.spec_timeout_s is not None else None)
+        kill_at = None
+        if self.chaos is not None and self.chaos.should_kill(
+                task.index, task.attempt, kills.get(task.index, 0)):
+            kill_at = now + self.chaos.kill_after_s
+        return _Worker(task, process, parent_conn, heartbeat,
+                       deadline, kill_at)
+
+    def _reap(self, active: List[_Worker], pending: Deque[_Task],
+              outcomes: List[Optional[CampaignOutcome]],
+              failures: List[SpecFailure],
+              kills: Dict[int, int]) -> None:
+        if not active:
+            time.sleep(POLL_INTERVAL_S)
+            return
+        try:
+            ready = set(_connection_wait(
+                [worker.conn for worker in active],
+                timeout=POLL_INTERVAL_S))
+        except OSError:
+            ready = set()
+        now = time.monotonic()
+        for worker in list(active):
+            task = worker.task
+            if worker.conn in ready:
+                try:
+                    message = worker.conn.recv()
+                except (EOFError, OSError):
+                    message = None
+                active.remove(worker)
+                self._finish(worker)
+                if message is None:
+                    exitcode = worker.process.exitcode
+                    self._retry_or_fail(
+                        task,
+                        WorkerCrash(task.spec,
+                                    f"died without a result "
+                                    f"(exitcode {exitcode})"),
+                        pending, failures)
+                elif message[0] == "ok":
+                    self._complete(task.index, message[1], outcomes)
+                else:
+                    failures.append(SpecFailure(
+                        index=task.index, spec=task.spec,
+                        error=SpecExecutionError(task.spec, message[1],
+                                                 message[2]),
+                        attempts=task.attempt))
+                continue
+            if worker.kill_at is not None and now >= worker.kill_at:
+                worker.kill_at = None
+                kills[task.index] = kills.get(task.index, 0) + 1
+                self._kill(worker)
+                continue   # death surfaces through the pipe next round
+            if worker.deadline is not None and now >= worker.deadline:
+                active.remove(worker)
+                self._kill(worker)
+                self._finish(worker)
+                self._retry_or_fail(
+                    task, SpecTimeout(task.spec, self.spec_timeout_s),
+                    pending, failures)
+                continue
+            if STALL_TIMEOUT_S is not None and \
+                    now - worker.heartbeat.value > STALL_TIMEOUT_S:
+                active.remove(worker)
+                self._kill(worker)
+                self._finish(worker)
+                self._retry_or_fail(
+                    task,
+                    WorkerCrash(task.spec,
+                                f"heartbeat stalled for more than "
+                                f"{STALL_TIMEOUT_S:g}s"),
+                    pending, failures)
+
+    def _drain_and_stop(self, active: List[_Worker],
+                        outcomes: List[Optional[CampaignOutcome]]) -> None:
+        """Signal path: flush every already-completed result, then kill.
+
+        Workers that finished before the signal have their outcome
+        sitting in the pipe; journal those.  Workers still mid-spec are
+        killed — their specs stay missing and resume re-runs them.  A
+        drained *error* is reported to stderr: the failure is
+        deterministic, so resume will only reproduce it, and the user
+        should learn about the broken spec before re-running the sweep.
+        """
+        for worker in active:
+            try:
+                while worker.conn.poll(0):
+                    message = worker.conn.recv()
+                    if not message:
+                        continue
+                    if message[0] == "ok":
+                        self._complete(worker.task.index, message[1],
+                                       outcomes)
+                    else:
+                        spec = worker.task.spec
+                        print(f"spec {spec.spec_hash()[:12]} "
+                              f"({spec.deployment} {spec.campaign}) "
+                              f"failed before the interrupt and will "
+                              f"fail again on resume: {message[1]}",
+                              file=sys.stderr)
+            except (EOFError, OSError):
+                pass
+        for worker in active:
+            self._kill(worker)
+            self._finish(worker)
+        active.clear()
+
+    def _kill(self, worker: _Worker) -> None:
+        try:
+            if worker.process.is_alive():
+                worker.process.kill()
+        except (OSError, AttributeError, ValueError):
+            pass
+
+    def _finish(self, worker: _Worker) -> None:
+        try:
+            worker.process.join(timeout=5.0)
+        except (OSError, AssertionError, ValueError):
+            pass
+        try:
+            worker.conn.close()
+        except OSError:
+            pass
+
+    # -- signals ----------------------------------------------------------------
+
+    def _install_signal_handlers(self) -> None:
+        self._interrupted = None
+        self._interrupt_count = 0
+        self._previous_handlers = {}
+        if threading.current_thread() is not threading.main_thread():
+            return
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            try:
+                self._previous_handlers[signum] = signal.signal(
+                    signum, self._on_signal)
+            except (ValueError, OSError):
+                pass
+
+    def _restore_signal_handlers(self) -> None:
+        for signum, handler in self._previous_handlers.items():
+            try:
+                signal.signal(signum, handler)
+            except (ValueError, OSError):
+                pass
+        self._previous_handlers = {}
+
+    def _on_signal(self, signum, frame) -> None:
+        self._interrupted = signum
+        self._interrupt_count += 1
+        if self._interrupt_count >= 2:
+            # Second signal: the user means *now*.  The journal already
+            # holds everything completed before the first signal.
+            raise KeyboardInterrupt
 
 
 def ml_training_specs(variants: Sequence[str], scale: str, iterations: int,

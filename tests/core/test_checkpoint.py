@@ -16,7 +16,6 @@ from repro.core import (
     JournalError,
     ParallelRunner,
     ResultCache,
-    SupervisedRunner,
     SweepJournal,
 )
 from repro.core.cache import cache_key
@@ -179,9 +178,10 @@ def test_resumed_sweep_is_bit_identical_across_paths(tmp_path):
     for index, outcome in enumerate(head):
         journal.record(index, outcome)
 
-    # Resume through the supervised pool, journal and cache engaged.
+    # Resume through per-spec worker processes, journal and cache
+    # engaged.
     cache = ResultCache(tmp_path / "cache")
-    runner = SupervisedRunner(workers=2, cache=cache, journal=journal)
+    runner = ParallelRunner(workers=2, cache=cache, journal=journal)
     result = runner.resume()
     assert result.ok
     assert [outcome_blob(outcome) for outcome in result.outcomes] == \
@@ -207,7 +207,7 @@ def test_cache_hits_are_journaled_on_resume(tmp_path):
     ParallelRunner(workers=1, cache=cache).run(specs)   # warm the cache
 
     journal = SweepJournal(tmp_path / "j")
-    result = SupervisedRunner(workers=1, cache=cache,
-                              journal=journal).run(specs)
+    result = ParallelRunner(workers=1, cache=cache,
+                            journal=journal).sweep(specs)
     assert result.ok
     assert journal.is_complete()

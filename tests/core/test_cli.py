@@ -133,16 +133,16 @@ def test_resume_supplies_journal_when_recorded_argv_lacks_one(
     """A journal whose recorded argv never named --journal (created
     programmatically) still resumes: `repro resume` injects the journal
     path the user pointed it at."""
-    from repro.core import CampaignSpec, SupervisedRunner, SweepJournal
+    from repro.core import CampaignSpec, ParallelRunner, SweepJournal
 
     journal_root = tmp_path / "journal"
     spec = CampaignSpec(deployment="AWS-Lambda", workload="ml-training",
                         scale="small", iterations=2, warmup=1, seed=0)
     argv = ["latency", "--iterations", "2", "--variants", "AWS-Lambda",
             "--cache-dir", str(tmp_path / "cache")]
-    result = SupervisedRunner(
-        workers=1, journal=SweepJournal(journal_root)).run([spec],
-                                                           argv=argv)
+    result = ParallelRunner(
+        workers=1, journal=SweepJournal(journal_root)).sweep([spec],
+                                                             argv=argv)
     assert result.ok
 
     code = main(["resume", str(journal_root)])

@@ -1,10 +1,10 @@
 """Every typed error that crosses a process boundary must pickle clean.
 
-Worker processes (ParallelRunner's pool, SupervisedRunner's per-spec
-workers) hand exceptions back to the parent through pickle.  An error
-type that loses state in that round trip turns a precise diagnosis into
-a bare ``TypeError: __init__() missing ...`` at the *receiving* end —
-the failure mode this suite pins down for every error the workers can
+Worker processes (ParallelRunner's per-spec workers) hand exceptions
+back to the parent through pickle.  An error type that loses state in
+that round trip turns a precise diagnosis into a bare
+``TypeError: __init__() missing ...`` at the *receiving* end — the
+failure mode this suite pins down for every error the workers can
 raise, plus the fuzzer's own types.
 """
 
@@ -16,9 +16,13 @@ from repro.core.audit import CheckResult, InvariantViolation
 from repro.core.checkpoint import JournalError
 from repro.core.fuzz import FuzzError
 from repro.core.mitigation import CircuitOpenError, MitigationTimeout
-from repro.core.parallel import CampaignSpec, SpecExecutionError
+from repro.core.parallel import (
+    CampaignSpec,
+    SpecExecutionError,
+    SpecTimeout,
+    WorkerCrash,
+)
 from repro.core.persistence import SpecValidationError
-from repro.core.supervise import SpecTimeout, WorkerCrash
 from repro.platforms.base import (
     FunctionTimeout,
     LoadShedError,

@@ -21,7 +21,11 @@ from repro.core.fuzz import (
     write_repro,
 )
 from repro.core.audit import spec_repro_hint
-from repro.core.parallel import WORKLOAD_VARIANTS, CampaignSpec
+from repro.core.parallel import (
+    WORKLOAD_VARIANTS,
+    CampaignSpec,
+    ParallelRunner,
+)
 from repro.core.persistence import spec_from_dict, spec_to_dict
 
 pytestmark = pytest.mark.fuzz
@@ -256,6 +260,23 @@ def test_fuzz_session_journal_resumes(tmp_path):
     second = run_fuzz(seed=1, budget=6, journal=journal, resume=True)
     assert second.executed == 6
     assert [verdict.ok for verdict in second.verdicts] == [True] * 6
+
+
+def test_fuzz_session_runs_each_spec_in_its_own_worker(monkeypatch):
+    """The session's default restart budget puts every spec in its own
+    worker process even at workers=1: the ``supervised`` reference is
+    the oracle's cross-process leg."""
+    launched = []
+    launch = ParallelRunner._launch
+
+    def counting_launch(self, context, task, kills):
+        launched.append(task.index)
+        return launch(self, context, task, kills)
+
+    monkeypatch.setattr(ParallelRunner, "_launch", counting_launch)
+    result = run_fuzz(seed=0, budget=2, workers=1)
+    assert result.executed == 2
+    assert launched == [0, 1]
 
 
 def test_verdict_shape():

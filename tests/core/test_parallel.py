@@ -15,10 +15,13 @@ import pytest
 from repro.core import (
     CampaignOutcome,
     CampaignSpec,
+    ChaosPlan,
     ExperimentRunner,
     ParallelRunner,
     ResultCache,
+    SweepJournal,
     Testbed,
+    WorkerCrash,
     build_ml_training_deployments,
     build_video_deployments,
     cost_report,
@@ -301,8 +304,63 @@ def test_runner_rejects_nonpositive_workers():
         ParallelRunner(workers=0)
 
 
-def test_run_campaigns_returns_campaigns_only():
-    specs = [CampaignSpec(deployment="AWS-Lambda", iterations=2,
-                          warmup=0, seed=2)]
-    campaigns = ParallelRunner(workers=1).run_campaigns(specs)
-    assert len(campaigns) == 1 and campaigns[0].latencies
+
+# -- execution mode ----------------------------------------------------------------
+
+def _refuse_to_launch(self, context, task, kills):
+    raise AssertionError(f"spec #{task.index} launched a worker process")
+
+
+@pytest.mark.parametrize("store", ["cache", "journal"])
+def test_workers_1_runs_in_process(store, tmp_path, monkeypatch):
+    """With no process boundary to use or enforce, specs run in the
+    calling process: a cache or a journal alone never forks a worker
+    (a fork per spec would move wall-clock and peak-RSS figures)."""
+    monkeypatch.setattr(ParallelRunner, "_launch", _refuse_to_launch)
+    specs = [CampaignSpec(deployment=name, iterations=2, warmup=0,
+                          seed=5)
+             for name in ("AWS-Lambda", "Az-Func")]
+    journal = SweepJournal(tmp_path / "j") if store == "journal" else None
+    runner = ParallelRunner(
+        workers=1, journal=journal,
+        cache=ResultCache(tmp_path / "c") if store == "cache" else None)
+    assert runner.in_process
+
+    outcomes = runner.run(specs)
+    assert [outcome_blob(outcome) for outcome in outcomes] == \
+        [outcome_blob(execute_spec(spec)) for spec in specs]
+    if journal is not None:
+        assert journal.is_complete()
+        assert [outcome_blob(outcome) for outcome in journal.outcomes()] \
+            == [outcome_blob(outcome) for outcome in outcomes]
+
+
+@pytest.mark.supervise
+def test_strict_run_raises_worker_crash_after_caching_siblings(tmp_path):
+    """A worker killed with no restart budget fails a strict run with a
+    typed WorkerCrash naming its spec — after the sibling spec has
+    completed and been cached.  (There is no silent serial re-run.)"""
+    doomed = CampaignSpec(deployment="Az-Dorch", iterations=100, warmup=0,
+                          seed=3)
+    sibling = CampaignSpec(deployment="AWS-Lambda", iterations=2,
+                           warmup=0, seed=3)
+
+    def plan(seed):
+        return ChaosPlan(kill_probability=0.5, kill_after_s=0.0,
+                         max_kills_per_spec=1, seed=seed)
+
+    # The first chaos seed that kills spec #0's worker and spares #1's.
+    seed = next(seed for seed in range(1000)
+                if plan(seed).should_kill(0, 1, 0)
+                and not plan(seed).should_kill(1, 1, 0))
+    cache = ResultCache(tmp_path / "cache")
+    runner = ParallelRunner(workers=2, cache=cache, chaos=plan(seed),
+                            max_restarts=0)
+    with pytest.raises(WorkerCrash) as excinfo:
+        runner.run([doomed, sibling])
+
+    assert excinfo.value.spec_hash == doomed.spec_hash()
+    assert cache.get(doomed) is None
+    hit = cache.get(sibling)
+    assert hit is not None
+    assert outcome_blob(hit) == outcome_blob(execute_spec(sibling))

@@ -1,6 +1,6 @@
-"""Tests for the supervised runner: crashes, stalls, timeouts, signals.
+"""Tests for the runner's worker mode: crashes, stalls, timeouts, signals.
 
-The supervised pool's contract is graceful degradation with bit-exact
+Worker mode's contract is graceful degradation with bit-exact
 recovery: SIGKILLed workers are restarted and the sweep's outcomes match
 an undisturbed serial run; deterministic failures surface as typed
 per-spec errors without discarding sibling work; SIGINT leaves a journal
@@ -11,6 +11,7 @@ the kill schedule is reproducible); the SIGINT test drives a real
 ``python -m repro`` subprocess.
 """
 
+import importlib
 import json
 import os
 import signal
@@ -27,7 +28,6 @@ from repro.core import (
     ParallelRunner,
     ResultCache,
     SpecTimeout,
-    SupervisedRunner,
     SweepJournal,
 )
 from repro.core.parallel import SpecExecutionError
@@ -38,6 +38,10 @@ from tests.core.test_parallel import outcome_blob
 pytestmark = pytest.mark.supervise
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+# The module itself: ``repro.core`` re-exports a workflow helper named
+# ``parallel``, which shadows the submodule as a package attribute.
+runner_module = importlib.import_module("repro.core.parallel")
 
 
 def sweep_specs(count=3, seed=31):
@@ -59,7 +63,7 @@ def test_supervised_pool_is_bit_identical_to_serial(tmp_path):
     specs = sweep_specs(3)
     reference = [outcome_blob(outcome)
                  for outcome in ParallelRunner(workers=1).run(specs)]
-    result = SupervisedRunner(workers=2).run(specs)
+    result = ParallelRunner(workers=2).sweep(specs)
     assert result.ok and result.completed == result.outcomes
     assert [outcome_blob(outcome) for outcome in result.outcomes] == \
         reference
@@ -67,11 +71,11 @@ def test_supervised_pool_is_bit_identical_to_serial(tmp_path):
 
 def test_runner_validates_parameters():
     with pytest.raises(ValueError):
-        SupervisedRunner(workers=0)
+        ParallelRunner(workers=0)
     with pytest.raises(ValueError):
-        SupervisedRunner(spec_timeout_s=0.0)
+        ParallelRunner(spec_timeout_s=0.0)
     with pytest.raises(ValueError):
-        SupervisedRunner(max_restarts=-1)
+        ParallelRunner(max_restarts=-1)
     with pytest.raises(ValueError):
         ChaosPlan(kill_probability=1.5)
     with pytest.raises(ValueError):
@@ -87,8 +91,8 @@ def test_deterministic_failure_is_typed_and_spares_siblings(tmp_path):
     specs = [broken_spec(), good]
     cache = ResultCache(tmp_path / "cache")
     journal = SweepJournal(tmp_path / "j")
-    result = SupervisedRunner(workers=2, cache=cache,
-                              journal=journal).run(specs)
+    result = ParallelRunner(workers=2, cache=cache,
+                            journal=journal).sweep(specs)
 
     assert not result.ok
     assert result.outcomes[0] is None
@@ -108,15 +112,17 @@ def test_deterministic_failure_is_typed_and_spares_siblings(tmp_path):
     assert cache.get(good) is not None
 
 
-def test_spec_timeout_kills_retries_then_fails_typed(tmp_path):
+def test_spec_timeout_kills_retries_then_fails_typed(tmp_path,
+                                                     monkeypatch):
     """A wall-clock deadline the spec cannot meet burns the whole
     restart budget and surfaces as a SpecTimeout failure."""
+    monkeypatch.setattr(runner_module, "BACKOFF_BASE_S", 0.0)
+    monkeypatch.setattr(runner_module, "STALL_TIMEOUT_S", None)
     spec = CampaignSpec(deployment="Az-Dorch", iterations=40, warmup=0,
                         seed=3)
-    runner = SupervisedRunner(workers=1, spec_timeout_s=0.01,
-                              max_restarts=1, backoff_base_s=0.0,
-                              stall_timeout_s=None)
-    result = runner.run([spec])
+    runner = ParallelRunner(workers=1, spec_timeout_s=0.01,
+                            max_restarts=1)
+    result = runner.sweep([spec])
     assert not result.ok and result.outcomes == [None]
     [failure] = result.failures
     assert failure.kind == "SpecTimeout"
@@ -141,9 +147,9 @@ def test_first_launch_failure_degrades_inline_without_losing_specs(
     def refuse_to_spawn(self, context, task, kills):
         raise OSError("process spawning forbidden")
 
-    monkeypatch.setattr(SupervisedRunner, "_launch", refuse_to_spawn)
+    monkeypatch.setattr(ParallelRunner, "_launch", refuse_to_spawn)
     journal = SweepJournal(tmp_path / "j")
-    result = SupervisedRunner(workers=2, journal=journal).run(specs)
+    result = ParallelRunner(workers=2, journal=journal).sweep(specs)
 
     assert result.ok, [str(failure) for failure in result.failures]
     assert all(outcome is not None for outcome in result.outcomes)
@@ -159,7 +165,7 @@ def test_drain_reports_discarded_error_messages(capsys):
     dropping the message."""
     import multiprocessing
 
-    from repro.core.supervise import _Task, _Worker
+    from repro.core.parallel import _Task, _Worker
 
     class _DoneProcess:
         def is_alive(self):
@@ -176,7 +182,7 @@ def test_drain_reports_discarded_error_messages(capsys):
                      heartbeat=None, deadline=None, kill_at=None)
 
     outcomes = [None]
-    SupervisedRunner(workers=1)._drain_and_stop([worker], outcomes)
+    ParallelRunner(workers=1)._drain_and_stop([worker], outcomes)
 
     stderr = capsys.readouterr().err
     assert spec.spec_hash()[:12] in stderr
@@ -187,7 +193,7 @@ def test_drain_reports_discarded_error_messages(capsys):
 
 # -- self-chaos: SIGKILL recovery ------------------------------------------------
 
-def test_chaos_sigkill_recovery_is_bit_identical(tmp_path):
+def test_chaos_sigkill_recovery_is_bit_identical(tmp_path, monkeypatch):
     """Every spec's first attempt is SIGKILLed; the sweep still
     completes with outcomes bit-identical to the serial runner and a
     consistent, fully-checksummed journal."""
@@ -198,9 +204,10 @@ def test_chaos_sigkill_recovery_is_bit_identical(tmp_path):
     journal = SweepJournal(tmp_path / "j")
     chaos = ChaosPlan(kill_probability=1.0, kill_after_s=0.0,
                       max_kills_per_spec=1, seed=5)
-    runner = SupervisedRunner(workers=2, journal=journal, chaos=chaos,
-                              max_restarts=2, backoff_base_s=0.0)
-    result = runner.run(specs)
+    monkeypatch.setattr(runner_module, "BACKOFF_BASE_S", 0.0)
+    runner = ParallelRunner(workers=2, journal=journal, chaos=chaos,
+                            max_restarts=2)
+    result = runner.sweep(specs)
 
     assert result.ok, [str(failure) for failure in result.failures]
     assert [outcome_blob(outcome) for outcome in result.outcomes] == \
@@ -277,7 +284,7 @@ def test_sigint_flushes_journal_and_resume_is_bit_identical(tmp_path):
     journal = SweepJournal(journal_root)
     specs = journal.open().specs()
     done_before = set(journal.completed(specs))
-    result = SupervisedRunner(workers=2, journal=journal).resume()
+    result = ParallelRunner(workers=2, journal=journal).resume()
     assert result.ok
     assert journal.is_complete()
     assert not list(journal.quarantine_dir.glob("*"))
