@@ -9,6 +9,7 @@ remote storage").
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Dict, Generator, List, Optional
 
 from repro.azure import EntityId, EntitySpec, OrchestratorSpec, QueueChain
@@ -54,11 +55,13 @@ class MLWorkload:
 
     # -- payload sizes (bytes) ---------------------------------------------------
 
-    @property
+    # The frames never change, and summing their categorical strings is
+    # the costly part of ``Frame.payload_size``: size each frame once.
+    @cached_property
     def dataset_bytes(self) -> int:
         return self.train_dataset.features.payload_size
 
-    @property
+    @cached_property
     def test_dataset_bytes(self) -> int:
         return self.test_dataset.features.payload_size
 

@@ -30,7 +30,25 @@ def estimate_size(value: Any) -> int:
     their buffer, containers count their members plus small per-item
     overhead, strings/bytes count their length.  Exact framing overhead is
     irrelevant — limits are triggered by kilobytes, not bytes.
+
+    This is on every storage operation's path, so the common built-in
+    types are matched exactly first; subclasses (``bool``, ``np.float64``,
+    ``OrderedDict``, namedtuples, ...) fall through to
+    :func:`_estimate_by_kind`, which gives the same sizes.
     """
+    kind = type(value)
+    if kind is dict:
+        return _mapping_size(value)
+    if kind is str:
+        return len(value) if value.isascii() else len(value.encode("utf-8"))
+    if kind is int or kind is float:
+        return 8
+    if kind is list or kind is tuple:
+        return _collection_size(value)
+    return _estimate_by_kind(value)
+
+
+def _estimate_by_kind(value: Any) -> int:
     if value is None:
         return 4
     if isinstance(value, Payload):
@@ -48,16 +66,28 @@ def estimate_size(value: Any) -> int:
     if isinstance(value, np.generic):
         return int(value.nbytes)
     if isinstance(value, dict):
-        return sum(
-            estimate_size(key) + estimate_size(item) + 2
-            for key, item in value.items()) + 2
+        return _mapping_size(value)
     if isinstance(value, (list, tuple, set, frozenset)):
-        return sum(estimate_size(item) + 1 for item in value) + 2
+        return _collection_size(value)
     size_hint = getattr(value, "payload_size", None)
     if size_hint is not None:
         return int(size_hint)
     # Fall back to a conservative flat charge for opaque objects.
     return 256
+
+
+def _mapping_size(value: dict) -> int:
+    total = 2
+    for key, item in value.items():
+        total += estimate_size(key) + estimate_size(item) + 2
+    return total
+
+
+def _collection_size(value: Any) -> int:
+    total = 2
+    for item in value:
+        total += estimate_size(item) + 1
+    return total
 
 
 class Payload:

@@ -9,7 +9,7 @@ update and range query is a billable transaction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, Optional, Tuple
 
 import numpy as np
 
@@ -71,20 +71,38 @@ class TableStore:
         self.name = name
         self.account = account
         self.latency = latency or default_table_latency()
-        self._rows: Dict[Tuple[str, str], TableEntity] = {}
+        # partition_key -> row_key -> entity; a partition's dict exists
+        # only while it holds rows, and ``_count`` is the total row count.
+        self._partitions: Dict[str, Dict[str, TableEntity]] = {}
+        self._count = 0
+        #: Rows read by ``read_partition`` plus rows removed by
+        #: ``delete_partition``: a deterministic work counter for
+        #: complexity gates.  Diagnostic only; it never feeds outcomes,
+        #: checksums or cache keys.
+        self.rows_visited = 0
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._count
 
     # -- synchronous inspection helpers --------------------------------------
 
     def contains(self, partition_key: str, row_key: str) -> bool:
         """True if the row exists (no transaction recorded)."""
-        return (partition_key, row_key) in self._rows
+        return row_key in self._partitions.get(partition_key, ())
 
     def partition_size(self, partition_key: str) -> int:
         """Number of rows in a partition (inspection only)."""
-        return sum(1 for pk, _ in self._rows if pk == partition_key)
+        return len(self._partitions.get(partition_key, ()))
+
+    def _get(self, partition_key: str, row_key: str) -> Optional[TableEntity]:
+        partition = self._partitions.get(partition_key)
+        return None if partition is None else partition.get(row_key)
+
+    def _put(self, entity: TableEntity) -> None:
+        partition = self._partitions.setdefault(entity.partition_key, {})
+        if entity.row_key not in partition:
+            self._count += 1
+        partition[entity.row_key] = entity
 
     # -- simulated operations -------------------------------------------------
 
@@ -94,9 +112,9 @@ class TableStore:
         payload = Payload(value, size) if size is not None else Payload.wrap(value)
         duration = self.latency.operation_time(self.rng, payload.size)
         yield self.env.timeout(duration)
-        key = (partition_key, row_key)
-        etag = self._rows[key].etag + 1 if key in self._rows else 0
-        self._rows[key] = TableEntity(partition_key, row_key, payload, etag)
+        current = self._get(partition_key, row_key)
+        etag = current.etag + 1 if current is not None else 0
+        self._put(TableEntity(partition_key, row_key, payload, etag))
         self.meter.record("table", self.account, "insert", size=payload.size)
         return etag
 
@@ -113,25 +131,24 @@ class TableStore:
         duration = self.latency.operation_time(self.rng, payload.size)
         yield self.env.timeout(duration)
         key = (partition_key, row_key)
-        entity = self._rows.get(key)
+        entity = self._get(partition_key, row_key)
         self.meter.record("table", self.account, "update", size=payload.size)
         if entity is None:
             raise EntityNotFound(key)
         if entity.etag != if_match:
             raise PreconditionFailed(key, if_match, entity.etag)
         etag = entity.etag + 1
-        self._rows[key] = TableEntity(partition_key, row_key, payload, etag)
+        self._put(TableEntity(partition_key, row_key, payload, etag))
         return etag
 
     def read(self, partition_key: str, row_key: str) -> Generator:
         """Read one row's value; yields for the round trip."""
-        key = (partition_key, row_key)
-        if key not in self._rows:
+        entity = self._get(partition_key, row_key)
+        if entity is None:
             duration = self.latency.operation_time(self.rng, 0)
             yield self.env.timeout(duration)
             self.meter.record("table", self.account, "read", size=0)
-            raise EntityNotFound(key)
-        entity = self._rows[key]
+            raise EntityNotFound((partition_key, row_key))
         duration = self.latency.operation_time(self.rng, entity.size)
         yield self.env.timeout(duration)
         self.meter.record("table", self.account, "read", size=entity.size)
@@ -139,10 +156,9 @@ class TableStore:
 
     def read_partition(self, partition_key: str) -> Generator:
         """Read a whole partition in row-key order (the history replay path)."""
-        rows = sorted(
-            (entity for (pk, _), entity in self._rows.items()
-             if pk == partition_key),
-            key=lambda entity: entity.row_key)
+        partition = self._partitions.get(partition_key, {})
+        self.rows_visited += len(partition)
+        rows = [partition[row_key] for row_key in sorted(partition)]
         size = sum(entity.size for entity in rows)
         duration = self.latency.operation_time(self.rng, size)
         yield self.env.timeout(duration)
@@ -153,7 +169,11 @@ class TableStore:
         """Delete one row (idempotent)."""
         duration = self.latency.operation_time(self.rng, 0)
         yield self.env.timeout(duration)
-        self._rows.pop((partition_key, row_key), None)
+        partition = self._partitions.get(partition_key)
+        if partition is not None and partition.pop(row_key, None) is not None:
+            self._count -= 1
+            if not partition:
+                del self._partitions[partition_key]
         self.meter.record("table", self.account, "delete")
         return None
 
@@ -161,11 +181,11 @@ class TableStore:
         """Delete a whole partition (end-of-orchestration cleanup)."""
         duration = self.latency.operation_time(self.rng, 0)
         yield self.env.timeout(duration)
-        keys = [key for key in self._rows if key[0] == partition_key]
-        for key in keys:
-            del self._rows[key]
+        removed = len(self._partitions.pop(partition_key, ()))
+        self.rows_visited += removed
+        self._count -= removed
         self.meter.record("table", self.account, "delete")
-        return len(keys)
+        return removed
 
     def __repr__(self) -> str:
-        return f"TableStore(name={self.name!r}, rows={len(self._rows)})"
+        return f"TableStore(name={self.name!r}, rows={self._count})"

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.core.deployments import ml as ml_deployments
 from repro.core.deployments.ml import MLWorkload, ml_workload
 from repro.core.deployments.video import VideoWorkload, video_workload
 from repro.storage.payload import KB, MB
+from repro.workloads.ml.dataset import Frame
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +37,26 @@ def test_ml_workload_payload_sizes_are_consistent(workload):
     assert workload.reduced_bytes == 160 * trained.pca.n_components * 8
     assert workload.best_model_bytes == trained.best.payload_size
     assert workload.dataset_bytes > 10 * KB
+
+
+def test_ml_workload_sizes_each_dataset_frame_once(monkeypatch):
+    monkeypatch.setattr(ml_deployments, "_WORKLOADS", {})
+    sized = []
+    payload_size = Frame.payload_size
+
+    def counting(frame):
+        sized.append(frame)
+        return payload_size.fget(frame)
+
+    monkeypatch.setattr(Frame, "payload_size", property(counting))
+    fresh = ml_workload("small", seed=0)
+    for _ in range(3):
+        train_bytes = fresh.dataset_bytes
+        test_bytes = fresh.test_dataset_bytes
+    train, test = fresh.train_dataset.features, fresh.test_dataset.features
+    assert len(sized) == 2 and sized[0] is train and sized[1] is test
+    assert train_bytes == payload_size.fget(train)
+    assert test_bytes == payload_size.fget(test)
 
 
 def test_ml_workload_candidate_lookup(workload):
