@@ -160,6 +160,21 @@ class AuditReport:
                                      repro_hint=repro_hint)
 
 
+def finalize_report(testbed: Any, spec: Any) -> Optional[AuditReport]:
+    """The audit report of ``spec``'s run on ``testbed`` (``None`` when
+    the testbed was not audited).
+
+    Raises :class:`InvariantViolation` on a violated invariant while
+    :data:`RAISE_ON_VIOLATION` is set.
+    """
+    if testbed.auditor is None:
+        return None
+    report = testbed.auditor.finalize()
+    if RAISE_ON_VIOLATION:
+        report.raise_if_violations(spec=spec)
+    return report
+
+
 def spec_repro_hint(spec: Any) -> str:
     """A ready-to-paste command reconstructing ``spec``.
 

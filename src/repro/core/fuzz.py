@@ -67,8 +67,8 @@ from typing import (
 
 from repro.core.cache import ResultCache, write_atomic
 from repro.core.checkpoint import SweepJournal
+from repro.core.overload import ARRIVAL_KINDS
 from repro.core.parallel import (
-    ARRIVAL_KINDS,
     WORKLOAD_VARIANTS,
     CampaignOutcome,
     CampaignSpec,

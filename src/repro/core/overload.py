@@ -30,9 +30,8 @@ cache replay.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.core.arrivals import (
     ArrivalProcess,
@@ -40,10 +39,10 @@ from repro.core.arrivals import (
     PoissonArrivals,
     UniformArrivals,
 )
+from repro.core.audit import finalize_report
 from repro.core.costs import cost_report
 from repro.core.experiment import CampaignResult
 from repro.core.metrics import percentile
-from repro.core.testbed import Testbed
 from repro.platforms.backend import get_backend
 from repro.platforms.base import LoadShedError, ThrottlingError
 
@@ -155,16 +154,10 @@ def execute_overload_spec(spec: "CampaignSpec") -> "CampaignOutcome":
     :func:`classify_error` instead of aborting the campaign, so at any
     offered rate the run completes without an unhandled exception.
     """
-    from repro.core import audit as audit_mod
-    from repro.core.deployments.base import Deployment
     from repro.core.parallel import CampaignOutcome
-    Deployment._run_ids = itertools.count(1)
 
-    testbed = Testbed(seed=spec.seed, calibrations=spec.calibrations(),
-                      fault_plan=spec.fault_plan_obj(),
-                      audit=audit_mod.enabled_for(spec.audit))
-    deployment = spec.build_deployment(testbed)
-    deployment.deploy()
+    deployment = spec.deploy()
+    testbed = deployment.testbed
     auditor = testbed.auditor
     rng = testbed.streams.get(f"load.{deployment.name}")
     offsets = arrival_process(spec).schedule(rng, spec.horizon_s)
@@ -229,10 +222,6 @@ def execute_overload_spec(spec: "CampaignSpec") -> "CampaignOutcome":
         p99_latency_s=percentile(latencies, 99) if latencies else 0.0)
 
     cost = cost_report(deployment, per_runs=max(1, offered))
-    report = None
-    if auditor is not None:
-        report = auditor.finalize()
-        if audit_mod.RAISE_ON_VIOLATION:
-            report.raise_if_violations(spec=spec)
     return CampaignOutcome(spec=spec, campaign=campaign, cost=cost,
-                           overload=summary, audit=report)
+                           overload=summary,
+                           audit=finalize_report(testbed, spec))

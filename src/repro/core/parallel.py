@@ -66,6 +66,7 @@ Example
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
@@ -82,6 +83,7 @@ from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Deque,
     Dict,
     Iterable,
@@ -92,17 +94,26 @@ from typing import (
     Union,
 )
 
+from repro.core import audit as audit_mod
 from repro.core.costs import CostReport, cost_report
 from repro.core.deployments import (
     build_ml_inference_deployments,
     build_ml_training_deployments,
     build_video_deployments,
 )
+from repro.core.deployments.base import Deployment
 from repro.core.experiment import (
     CampaignResult,
     ColdStartCampaign,
     ExperimentRunner,
 )
+from repro.core.overload import (
+    ARRIVAL_KINDS,
+    OverloadSummary,
+    execute_overload_spec,
+)
+from repro.core.reliability import ReliabilitySummary, execute_reliability_spec
+from repro.core.resilience import ResilienceSummary, execute_resilience_spec
 from repro.core.testbed import Testbed
 from repro.platforms.backend import backend_names, get_backend
 from repro.platforms.faults import FaultPlan
@@ -207,12 +218,6 @@ class SpecTimeout(SweepError):
 
 
 WORKLOADS = ("ml-training", "ml-inference", "video")
-CAMPAIGN_TYPES = ("latency", "coldstart", "fanout", "reliability",
-                  "overload", "resilience")
-#: arrival models an ``overload`` campaign may name (mirrors
-#: :data:`repro.core.overload.ARRIVAL_KINDS`, kept literal to avoid an
-#: import cycle)
-ARRIVAL_KINDS = ("poisson", "uniform", "bursty")
 #: deployment variants each workload can build (mirrors the
 #: ``build_*_deployments`` maps, kept literal so spec validation needs
 #: no workload construction)
@@ -402,8 +407,26 @@ class CampaignSpec:
             calibration.validate()
         return calibrations
 
-    def build_deployment(self, testbed: Testbed):
-        """Build this spec's deployment variant on ``testbed``."""
+    def deploy(self, baseline: bool = False) -> Deployment:
+        """Build and deploy this spec's variant on a fresh testbed.
+
+        The testbed carries the spec's fault plan and, when the spec is
+        audited, an invariant auditor; a ``baseline`` testbed has
+        neither (the fault-free comparison pass of the reliability and
+        resilience campaigns).  The testbed is ``deployment.testbed``.
+
+        Resets the process-global run-id counter
+        (:attr:`Deployment._run_ids`) first: run ids name blob keys and
+        run values, and must not depend on how many campaigns this
+        process happened to run earlier.  Consequently a spec must not
+        execute concurrently with a hand-driven campaign *on the same
+        testbed* in the same process (worker processes are unaffected).
+        """
+        Deployment._run_ids = itertools.count(1)
+        testbed = Testbed(
+            seed=self.seed, calibrations=self.calibrations(),
+            fault_plan=None if baseline else self.fault_plan_obj(),
+            audit=not baseline and audit_mod.enabled_for(self.audit))
         if self.workload == "ml-training":
             variants = build_ml_training_deployments(
                 testbed, self.scale, seed=self.workload_seed)
@@ -417,100 +440,102 @@ class CampaignSpec:
             raise KeyError(
                 f"workload {self.workload!r} has no variant "
                 f"{self.deployment!r}; choose from {sorted(variants)}")
-        return variants[self.deployment]
+        deployment = variants[self.deployment]
+        deployment.deploy()
+        return deployment
 
 
 @dataclass
 class CampaignOutcome:
-    """One executed spec: the campaign, its cost report and idle meter."""
+    """One executed spec: the campaign, its cost report and idle meter.
+
+    Each summary is set by the campaign kind of the same name; the
+    outcome's stored document is derived from these annotations.
+    """
 
     spec: CampaignSpec
     campaign: CampaignResult
     cost: CostReport
     #: transactions metered during ``spec.idle_window_s`` of idle time
     idle_transactions: int = 0
-    #: reliability campaigns attach their summary report here
-    reliability: Optional[Any] = None
-    #: overload campaigns attach their summary report here
-    overload: Optional[Any] = None
-    #: resilience campaigns attach their summary report here
-    resilience: Optional[Any] = None
-    #: :class:`repro.core.audit.AuditReport` when the spec was audited
-    audit: Optional[Any] = None
+    reliability: Optional[ReliabilitySummary] = None
+    overload: Optional[OverloadSummary] = None
+    resilience: Optional[ResilienceSummary] = None
+    #: set when the spec was audited
+    audit: Optional[audit_mod.AuditReport] = None
     #: True when this outcome was served from a result cache
     cached: bool = field(default=False, compare=False)
+
+
+def _latency_campaign(spec: CampaignSpec, deployment: Deployment
+                      ) -> Tuple[CampaignResult, int]:
+    runner = ExperimentRunner(think_time_s=spec.think_time_s,
+                              settle_time_s=spec.settle_time_s)
+    campaign = runner.run_campaign(deployment, spec.iterations,
+                                   warmup=spec.warmup,
+                                   invoke_kwargs=dict(spec.invoke_kwargs))
+    return campaign, spec.warmup + spec.iterations
+
+
+def _coldstart_campaign(spec: CampaignSpec, deployment: Deployment
+                        ) -> Tuple[CampaignResult, int]:
+    protocol = ColdStartCampaign(interval_s=spec.interval_s, days=spec.days)
+    return protocol.run(deployment), protocol.request_count
+
+
+def _fanout_campaign(spec: CampaignSpec, deployment: Deployment
+                     ) -> Tuple[CampaignResult, int]:
+    runner = ExperimentRunner(think_time_s=spec.think_time_s,
+                              settle_time_s=spec.settle_time_s)
+    batch = spec.batch or spec.fanout
+    runs = runner.run_parallel_batch(deployment, batch,
+                                     invoke_kwargs=dict(spec.invoke_kwargs))
+    return CampaignResult(deployment=deployment.name, runs=runs), batch
+
+
+def _paper_protocol(run: Callable) -> Callable[[CampaignSpec],
+                                                CampaignOutcome]:
+    """An executor for one of the paper's protocols: drive the variant
+    with ``run``, read its cost meters per run, then meter
+    ``spec.idle_window_s`` of idle time."""
+    def execute(spec: CampaignSpec) -> CampaignOutcome:
+        deployment = spec.deploy()
+        testbed = deployment.testbed
+        campaign, per_runs = run(spec, deployment)
+        cost = cost_report(deployment, per_runs=per_runs)
+        idle_transactions = 0
+        if spec.idle_window_s > 0:
+            before = len(deployment.stack.meter)
+            testbed.advance(spec.idle_window_s)
+            idle_transactions = len(deployment.stack.meter) - before
+        return CampaignOutcome(
+            spec=spec, campaign=campaign, cost=cost,
+            idle_transactions=idle_transactions,
+            audit=audit_mod.finalize_report(testbed, spec))
+    return execute
+
+
+#: every campaign kind and its executor; a kind's summary (if any) is
+#: the :class:`CampaignOutcome` field of the same name
+CAMPAIGNS: Dict[str, Callable[[CampaignSpec], CampaignOutcome]] = {
+    "latency": _paper_protocol(_latency_campaign),
+    "coldstart": _paper_protocol(_coldstart_campaign),
+    "fanout": _paper_protocol(_fanout_campaign),
+    "reliability": execute_reliability_spec,
+    "overload": execute_overload_spec,
+    "resilience": execute_resilience_spec,
+}
+CAMPAIGN_TYPES = tuple(CAMPAIGNS)
 
 
 def execute_spec(spec: CampaignSpec) -> CampaignOutcome:
     """Run one campaign spec on a fresh testbed (the pure worker).
 
     Deterministic: the testbed, its RNG streams and the workload are all
-    derived from the spec alone, so the same spec produces bit-identical
-    results in any process.  To guarantee that, the process-global run-id
-    counter (:attr:`Deployment._run_ids`) is reset here — run ids name
-    blob keys and run values, and must not depend on how many campaigns
-    this process happened to run earlier.  Consequently a spec must not
-    execute concurrently with a hand-driven campaign *on the same
-    testbed* in the same process (worker processes are unaffected).
+    derived from the spec alone (see :meth:`CampaignSpec.deploy`), so
+    the same spec produces bit-identical results in any process.
     """
-    import itertools
-
-    from repro.core.deployments.base import Deployment
-    Deployment._run_ids = itertools.count(1)
-
-    if spec.campaign == "reliability":
-        from repro.core.reliability import execute_reliability_spec
-        return execute_reliability_spec(spec)
-    if spec.campaign == "overload":
-        from repro.core.overload import execute_overload_spec
-        return execute_overload_spec(spec)
-    if spec.campaign == "resilience":
-        from repro.core.resilience import execute_resilience_spec
-        return execute_resilience_spec(spec)
-
-    from repro.core import audit as audit_mod
-
-    testbed = Testbed(seed=spec.seed, calibrations=spec.calibrations(),
-                      fault_plan=spec.fault_plan_obj(),
-                      audit=audit_mod.enabled_for(spec.audit))
-    deployment = spec.build_deployment(testbed)
-    kwargs = dict(spec.invoke_kwargs) or None
-
-    if spec.campaign == "latency":
-        runner = ExperimentRunner(think_time_s=spec.think_time_s,
-                                  settle_time_s=spec.settle_time_s)
-        campaign = runner.run_campaign(deployment, spec.iterations,
-                                       warmup=spec.warmup,
-                                       invoke_kwargs=kwargs)
-        per_runs = spec.warmup + spec.iterations
-    elif spec.campaign == "coldstart":
-        protocol = ColdStartCampaign(interval_s=spec.interval_s,
-                                     days=spec.days)
-        campaign = protocol.run(deployment)
-        per_runs = protocol.request_count
-    else:  # fanout
-        runner = ExperimentRunner(think_time_s=spec.think_time_s,
-                                  settle_time_s=spec.settle_time_s)
-        batch = spec.batch or spec.fanout
-        runs = runner.run_parallel_batch(deployment, batch,
-                                         invoke_kwargs=kwargs)
-        campaign = CampaignResult(deployment=deployment.name, runs=runs)
-        per_runs = batch
-
-    cost = cost_report(deployment, per_runs=per_runs)
-    idle_transactions = 0
-    if spec.idle_window_s > 0:
-        before = len(deployment.stack.meter)
-        testbed.advance(spec.idle_window_s)
-        idle_transactions = len(deployment.stack.meter) - before
-    report = None
-    if testbed.auditor is not None:
-        report = testbed.auditor.finalize()
-        if audit_mod.RAISE_ON_VIOLATION:
-            report.raise_if_violations(spec=spec)
-    return CampaignOutcome(spec=spec, campaign=campaign, cost=cost,
-                           idle_transactions=idle_transactions,
-                           audit=report)
+    return CAMPAIGNS[spec.campaign](spec)
 
 
 def _prewarm_workloads(specs: Iterable[CampaignSpec]) -> None:

@@ -11,180 +11,188 @@ round-trip a :class:`~repro.core.parallel.CampaignOutcome` exactly
 (:mod:`repro.core.cache`) and the sweep journal
 (:mod:`repro.core.checkpoint`) store that one document shape, guarded by
 :func:`payload_checksum`.
+
+There is one codec, derived from dataclass fields and their type
+annotations: :func:`to_document`/:func:`from_document`.  A document is
+the object's fields plus a ``format_version`` and a ``kind`` tag; the
+tag of each part of an outcome document is the name of the
+:class:`~repro.core.parallel.CampaignOutcome` field holding it
+(``campaign``, ``cost``, ``audit``, one per campaign summary), so adding
+a summary type means adding an outcome field, not a codec.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import asdict, fields as dataclass_fields
+from dataclasses import fields as dataclass_fields, is_dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Tuple,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
-from repro.core.audit import AuditReport, CheckResult
 from repro.core.costs import CostReport
-from repro.core.deployments.base import RunResult
 from repro.core.experiment import CampaignResult
-from repro.core.metrics import LatencyBreakdown
-from repro.core.overload import OverloadSummary
 from repro.core.parallel import CampaignOutcome, CampaignSpec
-from repro.core.reliability import ReliabilitySummary
-from repro.core.resilience import ResilienceSummary
 
 FORMAT_VERSION = 1
+#: keys a document carries next to the object's fields
+_TAGS = ("format_version", "kind")
+_NONE = type(None)
+
+#: how to decode one JSON field value; ``None`` means "use it as is"
+Decoder = Optional[Callable[[Any], Any]]
 
 
-def campaign_to_dict(campaign: CampaignResult) -> Dict[str, Any]:
-    """A JSON-ready representation of a campaign."""
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "campaign",
-        "deployment": campaign.deployment,
-        "runs": [asdict(run) for run in campaign.runs],
-        "breakdowns": [asdict(breakdown)
-                       for breakdown in campaign.breakdowns],
-    }
+def to_document(obj: Any, kind: str) -> Dict[str, Any]:
+    """The JSON-ready document of the dataclass ``obj``, tagged ``kind``.
+
+    Values JSON cannot carry are left to the writer (every writer here
+    passes ``default=repr``).
+    """
+    document = _plain(obj)
+    document["format_version"] = FORMAT_VERSION
+    document["kind"] = kind
+    return document
 
 
-def campaign_from_dict(data: Dict[str, Any]) -> CampaignResult:
-    """Inverse of :func:`campaign_to_dict`."""
-    _check(data, "campaign")
-    campaign = CampaignResult(deployment=data["deployment"])
-    campaign.runs = [RunResult(**run) for run in data["runs"]]
-    campaign.breakdowns = [LatencyBreakdown(**breakdown)
-                           for breakdown in data["breakdowns"]]
-    return campaign
+def from_document(cls: type, data: Dict[str, Any], kind: str) -> Any:
+    """Inverse of :func:`to_document`: rebuild a ``cls`` from ``data``.
 
-
-def cost_report_to_dict(report: CostReport) -> Dict[str, Any]:
-    """A JSON-ready representation of a cost report."""
-    payload = asdict(report)
-    payload.update({"format_version": FORMAT_VERSION, "kind": "cost"})
-    return payload
-
-
-def cost_report_from_dict(data: Dict[str, Any]) -> CostReport:
-    """Inverse of :func:`cost_report_to_dict`."""
-    _check(data, "cost")
-    fields = {key: value for key, value in data.items()
-              if key not in ("format_version", "kind")}
-    return CostReport(**fields)
-
-
-def reliability_to_dict(summary: ReliabilitySummary) -> Dict[str, Any]:
-    """A JSON-ready representation of a reliability summary."""
-    payload = asdict(summary)
-    payload.update({"format_version": FORMAT_VERSION,
-                    "kind": "reliability"})
-    return payload
-
-
-def reliability_from_dict(data: Dict[str, Any]) -> ReliabilitySummary:
-    """Inverse of :func:`reliability_to_dict`."""
-    _check(data, "reliability")
-    fields = {key: value for key, value in data.items()
-              if key not in ("format_version", "kind")}
-    return ReliabilitySummary(**fields)
-
-
-def resilience_to_dict(summary: ResilienceSummary) -> Dict[str, Any]:
-    """A JSON-ready representation of a resilience summary."""
-    payload = asdict(summary)
-    payload.update({"format_version": FORMAT_VERSION,
-                    "kind": "resilience"})
-    return payload
-
-
-def resilience_from_dict(data: Dict[str, Any]) -> ResilienceSummary:
-    """Inverse of :func:`resilience_to_dict` (tuples restored)."""
-    _check(data, "resilience")
-    fields = {key: value for key, value in data.items()
-              if key not in ("format_version", "kind")}
-    fields["outage_windows"] = tuple(
-        tuple(window) for window in fields.get("outage_windows", ()))
-    fields["recovery_times_s"] = tuple(fields.get("recovery_times_s", ()))
-    return ResilienceSummary(**fields)
-
-
-def overload_to_dict(summary: OverloadSummary) -> Dict[str, Any]:
-    """A JSON-ready representation of an overload summary."""
-    payload = asdict(summary)
-    payload.update({"format_version": FORMAT_VERSION, "kind": "overload"})
-    return payload
-
-
-def overload_from_dict(data: Dict[str, Any]) -> OverloadSummary:
-    """Inverse of :func:`overload_to_dict`."""
-    _check(data, "overload")
-    fields = {key: value for key, value in data.items()
-              if key not in ("format_version", "kind")}
-    return OverloadSummary(**fields)
-
-
-def audit_to_dict(report: AuditReport) -> Dict[str, Any]:
-    """A JSON-ready representation of an audit report."""
-    payload = asdict(report)
-    payload.update({"format_version": FORMAT_VERSION, "kind": "audit"})
-    return payload
-
-
-def audit_from_dict(data: Dict[str, Any]) -> AuditReport:
-    """Inverse of :func:`audit_to_dict` (tuples restored from lists)."""
-    _check(data, "audit")
-    checks = tuple(
-        CheckResult(invariant=check["invariant"], passed=check["passed"],
-                    detail=check["detail"],
-                    evidence=tuple(check.get("evidence", ())))
-        for check in data["checks"])
-    outcomes = tuple((str(name), int(count))
-                     for name, count in data["outcomes"])
-    return AuditReport(checks=checks, dispatches=data["dispatches"],
-                       arrivals=data["arrivals"], outcomes=outcomes)
+    Raises :class:`ValueError` when ``data`` is not a ``kind`` document
+    of this :data:`FORMAT_VERSION`.
+    """
+    _check(data, kind)
+    return _decode(cls, {name: value for name, value in data.items()
+                         if name not in _TAGS})
 
 
 def outcome_to_dict(outcome: CampaignOutcome) -> Dict[str, Any]:
     """A JSON-ready representation of a full campaign outcome.
 
-    Exotic per-run values (anything JSON cannot carry) are stored as
-    their ``repr`` — latencies, delays, breakdowns and cost meters
-    round-trip exactly.
+    Each dataclass-valued field becomes a document tagged with the
+    field's name.  Exotic per-run values (anything JSON cannot carry)
+    are stored as their ``repr`` — latencies, delays, breakdowns and
+    cost meters round-trip exactly.
     """
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "outcome",
-        "campaign": campaign_to_dict(outcome.campaign),
-        "cost": cost_report_to_dict(outcome.cost),
-        "idle_transactions": outcome.idle_transactions,
-        "reliability": (reliability_to_dict(outcome.reliability)
-                        if outcome.reliability is not None else None),
-        "overload": (overload_to_dict(outcome.overload)
-                     if outcome.overload is not None else None),
-        "resilience": (resilience_to_dict(outcome.resilience)
-                       if outcome.resilience is not None else None),
-        "audit": (audit_to_dict(outcome.audit)
-                  if outcome.audit is not None else None),
-    }
+    document: Dict[str, Any] = {"format_version": FORMAT_VERSION,
+                                "kind": "outcome"}
+    for name, _ in _outcome_fields():
+        value = getattr(outcome, name)
+        document[name] = (to_document(value, name) if is_dataclass(value)
+                          else value)
+    return document
 
 
 def outcome_from_dict(data: Dict[str, Any],
                       spec: CampaignSpec) -> CampaignOutcome:
     """Inverse of :func:`outcome_to_dict` for the given ``spec``."""
     _check(data, "outcome")
-    reliability = data.get("reliability")
-    overload = data.get("overload")
-    resilience = data.get("resilience")
-    audit = data.get("audit")
-    return CampaignOutcome(
-        spec=spec,
-        campaign=campaign_from_dict(data["campaign"]),
-        cost=cost_report_from_dict(data["cost"]),
-        idle_transactions=data.get("idle_transactions", 0),
-        reliability=(reliability_from_dict(reliability)
-                     if reliability else None),
-        overload=overload_from_dict(overload) if overload else None,
-        resilience=(resilience_from_dict(resilience)
-                    if resilience else None),
-        audit=audit_from_dict(audit) if audit else None)
+    values = {}
+    for name, cls in _outcome_fields():
+        value = data.get(name)
+        if value is not None:
+            values[name] = (from_document(cls, value, name)
+                            if is_dataclass(cls) else value)
+    return CampaignOutcome(spec=spec, **values)
+
+
+@functools.lru_cache(maxsize=None)
+def _outcome_fields() -> Tuple[Tuple[str, Any], ...]:
+    """``(name, type)`` of each stored :class:`CampaignOutcome` field
+    (all but ``spec`` and ``cached``), from its annotations."""
+    hints = get_type_hints(CampaignOutcome)
+    return tuple((outcome_field.name,
+                  _unwrap_optional(hints[outcome_field.name]))
+                 for outcome_field in dataclass_fields(CampaignOutcome)
+                 if outcome_field.name not in ("spec", "cached"))
+
+
+def _plain(value: Any) -> Any:
+    """``value`` as plain data: dataclasses become dicts and sequences
+    lists, recursively (:func:`dataclasses.asdict` without its copies
+    of every leaf)."""
+    if isinstance(value, (str, int, float)) or value is None:
+        return value
+    if is_dataclass(value) and not isinstance(value, type):
+        return {class_field.name: _plain(getattr(value, class_field.name))
+                for class_field in dataclass_fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return value
+
+
+@functools.lru_cache(maxsize=None)
+def _decoders(cls: type) -> Dict[str, Callable[[Any], Any]]:
+    """The fields of ``cls`` JSON cannot carry as they are, and how to
+    decode each.  Resolved once per class: annotation lookup costs far
+    more than the decoding itself."""
+    hints = get_type_hints(cls)
+    decoders = {name: _decoder(hint) for name, hint in hints.items()}
+    return {name: decode for name, decode in decoders.items()
+            if decode is not None}
+
+
+def _decode(cls: type, data: Dict[str, Any]) -> Any:
+    decoders = _decoders(cls)
+    if decoders:
+        data = dict(data)
+        for name, decode in decoders.items():
+            if name in data:
+                data[name] = decode(data[name])
+    # Unknown names reach the constructor and raise TypeError there.
+    return cls(**data)
+
+
+def _unwrap_optional(annotation: Any) -> Any:
+    """``X`` for ``Optional[X]``; any other annotation unchanged."""
+    if get_origin(annotation) is Union:
+        members = [arg for arg in get_args(annotation) if arg is not _NONE]
+        if len(members) == 1:
+            return members[0]
+    return annotation
+
+
+def _decoder(annotation: Any) -> Decoder:
+    """How to rebuild a value annotated ``annotation`` from JSON, where
+    dataclasses arrive as dicts and tuples as lists."""
+    inner = _unwrap_optional(annotation)
+    if inner is not annotation:
+        decode = _decoder(inner)
+        if decode is None:
+            return None
+        return lambda value: None if value is None else decode(value)
+    if is_dataclass(annotation):
+        if not _decoders(annotation):
+            return lambda value: annotation(**value)
+        return functools.partial(_decode, annotation)
+    origin = get_origin(annotation)
+    if origin not in (list, tuple):
+        return None
+    items = [_decoder(arg) for arg in get_args(annotation)
+             if arg is not Ellipsis]
+    if all(decode is None for decode in items):
+        return None if origin is list else tuple
+    if len(items) > 1:          # a fixed-length tuple
+        return lambda value: tuple(
+            item if decode is None else decode(item)
+            for decode, item in zip(items, value))
+    decode = items[0]
+    if origin is list:
+        return lambda value: [decode(item) for item in value]
+    return lambda value: tuple([decode(item) for item in value])
 
 
 class SpecValidationError(ValueError):
@@ -208,23 +216,23 @@ class SpecValidationError(ValueError):
         return (type(self), (self.key, self.detail))
 
 
-#: pair-list spec fields (``((name, value), ...)`` tuples in canonical form)
-_PAIR_FIELDS = ("calibration_overrides", "invoke_kwargs", "fault_plan",
-                "mitigation")
-#: JSON type each scalar spec field must carry (bool checked before int —
-#: ``isinstance(True, int)`` holds, and a bool where a count belongs is a
-#: type error we want named)
-_SPEC_FIELD_TYPES: Dict[str, tuple] = {
-    "deployment": (str,), "workload": (str,), "scale": (str,),
-    "campaign": (str,), "arrival": (str,),
-    "fanout": (int,), "seed": (int,), "workload_seed": (int,),
-    "iterations": (int,), "warmup": (int,), "batch": (int,),
-    "think_time_s": (int, float), "settle_time_s": (int, float),
-    "interval_s": (int, float), "days": (int, float),
-    "idle_window_s": (int, float), "arrival_rate_per_s": (int, float),
-    "horizon_s": (int, float), "slo_availability": (int, float),
-    "slo_p99_s": (int, float),
-}
+@functools.lru_cache(maxsize=None)
+def _spec_schema() -> Tuple[Dict[str, tuple], Tuple[str, ...]]:
+    """From :class:`CampaignSpec`'s annotations: the JSON types each
+    scalar field may carry, and the pair-list fields (``((name,
+    value), ...)`` tuples in canonical form)."""
+    hints = get_type_hints(CampaignSpec)
+    types: Dict[str, tuple] = {}
+    pairs = []
+    for name, annotation in hints.items():
+        inner = _unwrap_optional(annotation)
+        if get_origin(inner) is tuple:
+            pairs.append(name)
+            continue
+        allowed = (int, float) if inner is float else (inner,)
+        types[name] = allowed + ((_NONE,) if inner is not annotation
+                                 else ())
+    return types, tuple(pairs)
 
 
 def spec_to_dict(spec: CampaignSpec) -> Dict[str, Any]:
@@ -253,6 +261,7 @@ def spec_from_dict(data: Dict[str, Any]) -> CampaignSpec:
     if not isinstance(data, dict):
         raise SpecValidationError(
             "<document>", f"expected a dict, got {type(data).__name__}")
+    field_types, pair_fields = _spec_schema()
     known = {spec_field.name for spec_field in dataclass_fields(CampaignSpec)}
     fields = {}
     for name, value in data.items():
@@ -261,24 +270,23 @@ def spec_from_dict(data: Dict[str, Any]) -> CampaignSpec:
                 str(name), f"unknown CampaignSpec field; "
                            f"choose from {sorted(known)}")
         fields[name] = value
-    for name, allowed in _SPEC_FIELD_TYPES.items():
+    for name, allowed in field_types.items():
         if name not in fields:
             continue
         value = fields[name]
+        # bool is checked before int: ``isinstance(True, int)`` holds,
+        # and a bool where a count belongs is a type error we want named
         if isinstance(value, bool) and bool not in allowed or \
                 not isinstance(value, allowed):
+            expected = " or ".join("null" if kind is _NONE else kind.__name__
+                                   for kind in allowed)
             raise SpecValidationError(
-                name, f"expected {' or '.join(t.__name__ for t in allowed)},"
+                name, f"expected {expected},"
                       f" got {type(value).__name__} ({value!r})")
-    if "audit" in fields and fields["audit"] is not None \
-            and not isinstance(fields["audit"], bool):
-        raise SpecValidationError(
-            "audit", f"expected true, false or null, "
-                     f"got {type(fields['audit']).__name__}")
     # JSON turns the pair-tuples into lists; ``__post_init__`` only
     # re-normalizes non-empty ones, so coerce here for equality — and
     # reject truncated or non-pair entries by name.
-    for name in _PAIR_FIELDS:
+    for name in pair_fields:
         if name not in fields:
             continue
         value = fields[name]
@@ -344,9 +352,9 @@ def save_results(path: Union[str, Path],
         "format_version": FORMAT_VERSION,
         "kind": "results",
         "metadata": dict(metadata or {}),
-        "campaigns": [campaign_to_dict(campaign)
+        "campaigns": [to_document(campaign, "campaign")
                       for campaign in (campaigns or [])],
-        "cost_reports": [cost_report_to_dict(report)
+        "cost_reports": [to_document(report, "cost")
                          for report in (cost_reports or [])],
     }
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -360,9 +368,9 @@ def load_results(path: Union[str, Path]) -> Dict[str, Any]:
     _check(data, "results")
     return {
         "metadata": data["metadata"],
-        "campaigns": [campaign_from_dict(campaign)
+        "campaigns": [from_document(CampaignResult, campaign, "campaign")
                       for campaign in data["campaigns"]],
-        "cost_reports": [cost_report_from_dict(report)
+        "cost_reports": [from_document(CostReport, report, "cost")
                          for report in data["cost_reports"]],
     }
 

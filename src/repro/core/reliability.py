@@ -16,14 +16,14 @@ exactly like the other campaign types.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, Callable, Generator, List
 
-from repro.core.costs import CostReport, cost_report
+from repro.core.audit import finalize_report
+from repro.core.costs import cost_report
+from repro.core.deployments.base import Deployment
 from repro.core.experiment import CampaignResult
 from repro.core.metrics import breakdown_from_spans, percentile
-from repro.core.testbed import Testbed
 
 if TYPE_CHECKING:   # pragma: no cover - import cycle guard
     from repro.core.parallel import CampaignOutcome, CampaignSpec
@@ -67,28 +67,35 @@ class ReliabilitySummary:
         return self.successes / self.total_runs
 
 
-def _run_pass(spec: "CampaignSpec", fault_plan, audit: bool = False
-              ) -> Tuple[Testbed, CampaignResult, CostReport, int]:
-    """One campaign pass (tolerant of failed runs).
+def _direct(invoke: Callable[[], Generator]) -> Generator:
+    return invoke()
+
+
+def tolerant_pass(spec: "CampaignSpec", deployment: Deployment,
+                  call: Callable = _direct):
+    """One closed-loop campaign pass, tolerant of failed runs.
 
     Mirrors :meth:`ExperimentRunner.run_campaign` exactly — same
     settle/think cadence, same breakdown windows — except that a run
-    raising (a fault the platform could not absorb) is recorded as a
-    failure instead of aborting the campaign.
-    """
-    from repro.core.deployments.base import Deployment
-    from repro.core.overload import classify_error
-    Deployment._run_ids = itertools.count(1)
+    raising (a fault the platform could not absorb, or a mitigation
+    giving up) is recorded as a failure instead of aborting the
+    campaign.  Each invoke is ``call(start)``, where ``start()`` begins
+    one invocation: the identity, or a
+    :meth:`~repro.core.mitigation.MitigationEngine.call` wrapping it.
 
-    testbed = Testbed(seed=spec.seed, calibrations=spec.calibrations(),
-                      fault_plan=fault_plan, audit=audit)
-    deployment = spec.build_deployment(testbed)
-    deployment.deploy()
+    Returns ``(campaign, cost, failures, success_times)``;
+    ``success_times`` are the absolute completion times of *every*
+    successful run, warmup included (the MTTR evidence).
+    """
+    from repro.core.overload import classify_error
+
+    testbed = deployment.testbed
     auditor = testbed.auditor
     telemetry = deployment.stack.telemetry
     campaign = CampaignResult(deployment=deployment.name)
     kwargs = dict(spec.invoke_kwargs)
     failures = 0
+    success_times: List[float] = []
 
     for index in range(spec.warmup + spec.iterations):
         window_start = testbed.now
@@ -97,7 +104,8 @@ def _run_pass(spec: "CampaignSpec", fault_plan, audit: bool = False
         if auditor is not None:
             auditor.note_arrival()
         try:
-            run = testbed.run(deployment.invoke(**kwargs))
+            run = testbed.run(call(lambda: deployment.invoke(**kwargs)))
+            success_times.append(testbed.now)
             if auditor is not None:
                 auditor.note_outcome("succeeded")
         except Exception as error:  # noqa: BLE001 - the failure IS the measurement
@@ -114,10 +122,11 @@ def _run_pass(spec: "CampaignSpec", fault_plan, audit: bool = False
         testbed.advance(spec.think_time_s)
 
     cost = cost_report(deployment, per_runs=spec.warmup + spec.iterations)
-    return testbed, campaign, cost, failures
+    return campaign, cost, failures, success_times
 
 
-def _ratio(value: float, baseline: float) -> float:
+def amplification(value: float, baseline: float) -> float:
+    """``value / baseline`` of a faulted vs a fault-free measurement."""
     if baseline <= 0:
         return 1.0 if value <= 0 else float("inf")
     return value / baseline
@@ -130,13 +139,13 @@ def execute_reliability_spec(spec: "CampaignSpec") -> "CampaignOutcome":
     duplicates and crash recovery, and the baseline pass would double
     every check for no extra signal.
     """
-    from repro.core import audit as audit_mod
     from repro.core.parallel import CampaignOutcome
 
-    plan = spec.fault_plan_obj()
-    testbed, campaign, cost, failures = _run_pass(
-        spec, plan, audit=audit_mod.enabled_for(spec.audit))
-    _, baseline_campaign, baseline_cost, _ = _run_pass(spec, None)
+    deployment = spec.deploy()
+    testbed = deployment.testbed
+    campaign, cost, failures, _ = tolerant_pass(spec, deployment)
+    baseline_campaign, baseline_cost, _, _ = tolerant_pass(
+        spec, spec.deploy(baseline=True))
 
     faults = testbed.faults
     latencies = campaign.latencies
@@ -165,19 +174,15 @@ def execute_reliability_spec(spec: "CampaignSpec") -> "CampaignOutcome":
         wasted_gb_s=faults.wasted_gb_s if faults else 0.0,
         cost_per_run=cost.total,
         baseline_cost_per_run=baseline_cost.total,
-        cost_amplification=_ratio(cost.total, baseline_cost.total),
+        cost_amplification=amplification(cost.total, baseline_cost.total),
         p50_latency_s=p50,
         p99_latency_s=p99,
         baseline_p50_latency_s=base_p50,
         baseline_p99_latency_s=base_p99,
-        tail_inflation=_ratio(p99, base_p99),
+        tail_inflation=amplification(p99, base_p99),
         mean_recovery_time_s=(sum(recovery_times) / len(recovery_times)
                               if recovery_times else 0.0))
 
-    report = None
-    if testbed.auditor is not None:
-        report = testbed.auditor.finalize()
-        if audit_mod.RAISE_ON_VIOLATION:
-            report.raise_if_violations(spec=spec)
     return CampaignOutcome(spec=spec, campaign=campaign, cost=cost,
-                           reliability=summary, audit=report)
+                           reliability=summary,
+                           audit=finalize_report(testbed, spec))

@@ -18,15 +18,14 @@ cache replay, and audit-clean under the invariant auditor.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, Tuple
 
-from repro.core.costs import CostReport, cost_report
-from repro.core.experiment import CampaignResult
-from repro.core.metrics import breakdown_from_spans, percentile
+from repro.core.audit import finalize_report
+from repro.core.deployments.base import Deployment
+from repro.core.metrics import percentile
 from repro.core.mitigation import MitigationEngine, MitigationPolicy
-from repro.core.testbed import Testbed
+from repro.core.reliability import amplification, tolerant_pass
 
 if TYPE_CHECKING:   # pragma: no cover - import cycle guard
     from repro.core.parallel import CampaignOutcome, CampaignSpec
@@ -91,65 +90,19 @@ class ResilienceSummary:
         return self.slo_availability_met and self.slo_p99_met
 
 
-def _run_pass(spec: "CampaignSpec", fault_plan, policy: MitigationPolicy,
-              audit: bool = False):
-    """One mitigated campaign pass, tolerant of failed runs.
-
-    Same settle/think cadence and breakdown windows as the reliability
-    executor, but every invoke goes through one persistent
-    :class:`MitigationEngine` (breaker state and latency estimates
-    carry across iterations, like a real client library's).  Returns
-    ``(testbed, campaign, cost, failures, engine, success_times)``
-    where ``success_times`` are absolute completion times of *every*
-    successful run, warmup included — the MTTR evidence.
-    """
-    from repro.core.deployments.base import Deployment
-    from repro.core.overload import classify_error
-    Deployment._run_ids = itertools.count(1)
-
-    testbed = Testbed(seed=spec.seed, calibrations=spec.calibrations(),
-                      fault_plan=fault_plan, audit=audit)
-    deployment = spec.build_deployment(testbed)
-    deployment.deploy()
-    auditor = testbed.auditor
-    telemetry = deployment.stack.telemetry
-    campaign = CampaignResult(deployment=deployment.name)
-    kwargs = dict(spec.invoke_kwargs)
+def _mitigated_pass(spec: "CampaignSpec", deployment: Deployment,
+                    policy: MitigationPolicy):
+    """A :func:`~repro.core.reliability.tolerant_pass` with every invoke
+    going through one persistent :class:`MitigationEngine` (breaker
+    state and latency estimates carry across iterations, like a real
+    client library's).  Returns the pass's results plus the engine."""
+    testbed = deployment.testbed
     engine = MitigationEngine(
         policy=policy, env=testbed.env, streams=testbed.streams,
         label=f"resilience.{spec.deployment}",
         gb_s_probe=lambda: sum(stack.billing.total_gb_s()
                                for stack in testbed.stacks.values()))
-    failures = 0
-    success_times: List[float] = []
-
-    for index in range(spec.warmup + spec.iterations):
-        window_start = testbed.now
-        span_cursor = len(telemetry.spans)
-        run = None
-        if auditor is not None:
-            auditor.note_arrival()
-        try:
-            run = testbed.run(engine.call(
-                lambda: deployment.invoke(**kwargs)))
-            success_times.append(testbed.now)
-            if auditor is not None:
-                auditor.note_outcome("succeeded")
-        except Exception as error:  # noqa: BLE001 - the failure IS the measurement
-            if auditor is not None:
-                auditor.note_outcome(classify_error(error))
-            if index >= spec.warmup:
-                failures += 1
-        testbed.advance(spec.settle_time_s)
-        if index >= spec.warmup and run is not None:
-            campaign.runs.append(run)
-            campaign.breakdowns.append(breakdown_from_spans(
-                telemetry, since=window_start, until=testbed.now,
-                start_hint=span_cursor))
-        testbed.advance(spec.think_time_s)
-
-    cost = cost_report(deployment, per_runs=spec.warmup + spec.iterations)
-    return testbed, campaign, cost, failures, engine, success_times
+    return (*tolerant_pass(spec, deployment, engine.call), engine)
 
 
 def _recovery_times(windows, success_times, end_of_run: float
@@ -171,12 +124,6 @@ def _recovery_times(windows, success_times, end_of_run: float
     return tuple(times)
 
 
-def _ratio(value: float, baseline: float) -> float:
-    if baseline <= 0:
-        return 1.0 if value <= 0 else float("inf")
-    return value / baseline
-
-
 def execute_resilience_spec(spec: "CampaignSpec") -> "CampaignOutcome":
     """Run the mitigated outage pass and its clean baseline; summarize.
 
@@ -186,17 +133,17 @@ def execute_resilience_spec(spec: "CampaignSpec") -> "CampaignOutcome":
     the chaos *plus its mitigation* cost.  Only the faulted pass is
     audited, like the reliability executor.
     """
-    from repro.core import audit as audit_mod
     from repro.core.parallel import CampaignOutcome
 
-    plan = spec.fault_plan_obj()
     policy = spec.mitigation_obj()
     backstop = MitigationPolicy(request_timeout_s=policy.request_timeout_s)
 
-    testbed, campaign, cost, failures, engine, success_times = _run_pass(
-        spec, plan, policy, audit=audit_mod.enabled_for(spec.audit))
-    (_, baseline_campaign, baseline_cost, baseline_failures, _,
-     _) = _run_pass(spec, None, backstop)
+    deployment = spec.deploy()
+    testbed = deployment.testbed
+    campaign, cost, failures, success_times, engine = _mitigated_pass(
+        spec, deployment, policy)
+    baseline_campaign, baseline_cost, baseline_failures, _, _ = \
+        _mitigated_pass(spec, spec.deploy(baseline=True), backstop)
 
     faults = testbed.faults
     windows = faults.outage_windows if faults else ()
@@ -254,12 +201,8 @@ def execute_resilience_spec(spec: "CampaignSpec") -> "CampaignOutcome":
         gray_errors=faults.gray_errors if faults else 0,
         cost_per_run=cost.total,
         baseline_cost_per_run=baseline_cost.total,
-        mitigation_cost_overhead=_ratio(cost.total, baseline_cost.total))
+        mitigation_cost_overhead=amplification(cost.total, baseline_cost.total))
 
-    report = None
-    if testbed.auditor is not None:
-        report = testbed.auditor.finalize()
-        if audit_mod.RAISE_ON_VIOLATION:
-            report.raise_if_violations(spec=spec)
     return CampaignOutcome(spec=spec, campaign=campaign, cost=cost,
-                           resilience=summary, audit=report)
+                           resilience=summary,
+                           audit=finalize_report(testbed, spec))

@@ -25,7 +25,7 @@ from repro.core.audit import (
 from repro.core.cache import ResultCache
 from repro.core.parallel import (CampaignSpec, ParallelRunner,
                                  SpecExecutionError, execute_spec)
-from repro.core.persistence import audit_from_dict, audit_to_dict
+from repro.core.persistence import to_document
 from repro.platforms.faults import FaultPlan
 
 pytestmark = pytest.mark.audit
@@ -163,15 +163,10 @@ def test_verdicts_identical_serial_parallel_and_cache(tmp_path):
     for report in (*pooled, *cached):
         assert report is not None
     assert [r.verdicts() for r in serial] == [r.verdicts() for r in pooled]
-    assert [audit_to_dict(r) for r in serial] == [
-        audit_to_dict(r) for r in pooled]
-    assert [audit_to_dict(r) for r in serial] == [
-        audit_to_dict(r) for r in cached]
-
-
-def test_audit_report_json_roundtrip():
-    report = execute_spec(latency_spec("Az-Dent")).audit
-    assert audit_from_dict(audit_to_dict(report)) == report
+    assert [to_document(r, "audit") for r in serial] == [
+        to_document(r, "audit") for r in pooled]
+    assert [to_document(r, "audit") for r in serial] == [
+        to_document(r, "audit") for r in cached]
 
 
 def test_merge_reports_counts_passes_and_violations():

@@ -21,12 +21,7 @@ from repro.core import (
 )
 from repro.core.cache import cache_key
 from repro.core.overload import classify_error
-from repro.core.persistence import (
-    campaign_to_dict,
-    cost_report_to_dict,
-    overload_from_dict,
-    overload_to_dict,
-)
+from repro.core.persistence import to_document
 from repro.platforms.base import LoadShedError, ThrottlingError
 
 pytestmark = pytest.mark.overload
@@ -52,9 +47,9 @@ def spec_for(variant, rate, seed=29, horizon=60.0, arrival="poisson"):
 def outcome_blob(outcome: CampaignOutcome) -> str:
     """Every observable of an overload outcome, as one string."""
     return json.dumps({
-        "campaign": campaign_to_dict(outcome.campaign),
-        "cost": cost_report_to_dict(outcome.cost),
-        "overload": (overload_to_dict(outcome.overload)
+        "campaign": to_document(outcome.campaign, "campaign"),
+        "cost": to_document(outcome.cost, "cost"),
+        "overload": (to_document(outcome.overload, "overload")
                      if outcome.overload is not None else None),
     }, sort_keys=True, default=repr)
 
@@ -179,11 +174,3 @@ def test_overload_survives_cache_round_trip(tmp_path):
     assert replay.overload == outcome.overload
 
 
-# -- persistence -------------------------------------------------------------------
-
-def test_overload_summary_dict_round_trip():
-    summary = execute_spec(spec_for("AWS-Step", 1.0)).overload
-    document = overload_to_dict(summary)
-    assert document["kind"] == "overload"
-    assert overload_from_dict(document) == summary
-    assert overload_from_dict(json.loads(json.dumps(document))) == summary

@@ -22,6 +22,7 @@ from repro.core import (
     SweepJournal,
     Testbed,
     WorkerCrash,
+    build_ml_inference_deployments,
     build_ml_training_deployments,
     build_video_deployments,
     cost_report,
@@ -29,14 +30,15 @@ from repro.core import (
 )
 from repro.core.cache import cache_key
 from repro.core.deployments.base import Deployment
-from repro.core.persistence import campaign_to_dict, cost_report_to_dict
+from repro.core.parallel import WORKLOAD_VARIANTS, WORKLOADS
+from repro.core.persistence import to_document
 
 
 def outcome_blob(outcome: CampaignOutcome) -> str:
     """Every observable of an outcome, as one comparable string."""
     return json.dumps({
-        "campaign": campaign_to_dict(outcome.campaign),
-        "cost": cost_report_to_dict(outcome.cost),
+        "campaign": to_document(outcome.campaign, "campaign"),
+        "cost": to_document(outcome.cost, "cost"),
         "idle": outcome.idle_transactions,
     }, sort_keys=True, default=repr)
 
@@ -53,6 +55,21 @@ def test_spec_rejects_bad_fields():
     with pytest.raises(ValueError):
         CampaignSpec(deployment="AWS-Step",
                      calibration_overrides={"scale_interval_s": 5.0})
+
+
+@pytest.mark.parametrize("workload,build", [
+    ("ml-training", lambda testbed: build_ml_training_deployments(
+        testbed, "small")),
+    ("ml-inference", lambda testbed: build_ml_inference_deployments(
+        testbed, "small")),
+    ("video", lambda testbed: build_video_deployments(
+        testbed, n_workers=2)),
+])
+def test_workload_variants_match_the_builders(workload, build):
+    """The literal variant table spec validation uses names exactly
+    the variants each workload's builder makes."""
+    assert set(WORKLOAD_VARIANTS[workload]) == set(build(Testbed(seed=0)))
+    assert sorted(WORKLOAD_VARIANTS) == sorted(WORKLOADS)
 
 
 def test_spec_hash_is_stable_and_sensitive():

@@ -20,12 +20,7 @@ from repro.core import (
     execute_spec,
 )
 from repro.core.cache import cache_key
-from repro.core.persistence import (
-    campaign_to_dict,
-    cost_report_to_dict,
-    reliability_from_dict,
-    reliability_to_dict,
-)
+from repro.core.persistence import from_document, to_document
 
 pytestmark = pytest.mark.faults
 
@@ -33,9 +28,9 @@ pytestmark = pytest.mark.faults
 def outcome_blob(outcome: CampaignOutcome) -> str:
     """Every observable of a reliability outcome, as one string."""
     return json.dumps({
-        "campaign": campaign_to_dict(outcome.campaign),
-        "cost": cost_report_to_dict(outcome.cost),
-        "reliability": (reliability_to_dict(outcome.reliability)
+        "campaign": to_document(outcome.campaign, "campaign"),
+        "cost": to_document(outcome.cost, "cost"),
+        "reliability": (to_document(outcome.reliability, "reliability")
                         if outcome.reliability is not None else None),
     }, sort_keys=True, default=repr)
 
@@ -183,7 +178,8 @@ def test_reliability_survives_cache_round_trip(tmp_path):
 
 def test_reliability_summary_dict_round_trip():
     summary = execute_spec(AZ_SPEC).reliability
-    document = reliability_to_dict(summary)
+    document = to_document(summary, "reliability")
     assert document["kind"] == "reliability"
-    assert reliability_from_dict(document) == summary
-    assert reliability_from_dict(json.loads(json.dumps(document))) == summary
+    assert from_document(ReliabilitySummary, document, "reliability") == summary
+    assert from_document(ReliabilitySummary, json.loads(json.dumps(document)),
+                         "reliability") == summary
