@@ -94,6 +94,32 @@ def test_codec_round_trip(outcomes, kind):
         decode(wrong_version)
 
 
+def test_campaign_roundtrip(campaign_and_report):
+    campaign, _ = campaign_and_report
+    restored = from_document(CampaignResult,
+                             to_document(campaign, "campaign"), "campaign")
+    assert restored.deployment == campaign.deployment
+    assert restored.latencies == campaign.latencies
+    assert restored.stats() == campaign.stats()
+    assert len(restored.breakdowns) == len(campaign.breakdowns)
+
+
+def test_kind_mismatch_rejected(campaign_and_report):
+    campaign, report = campaign_and_report
+    with pytest.raises(ValueError, match="expected"):
+        from_document(CampaignResult, to_document(report, "cost"), "campaign")
+    with pytest.raises(ValueError, match="expected"):
+        from_document(CostReport, to_document(campaign, "campaign"), "cost")
+
+
+def test_version_mismatch_rejected(campaign_and_report):
+    campaign, _ = campaign_and_report
+    data = to_document(campaign, "campaign")
+    data["format_version"] = 99
+    with pytest.raises(ValueError, match="version"):
+        from_document(CampaignResult, data, "campaign")
+
+
 def test_save_and_load_results_file(tmp_path, campaign_and_report):
     campaign, report = campaign_and_report
     path = save_results(tmp_path / "nested" / "results.json",
