@@ -9,8 +9,9 @@ paper.  Run them with::
 reported numbers next to the measured ones and asserts the qualitative
 claim (who wins, roughly by how much, where the crossover is).
 
-The shared ML-training campaigns run through
-:class:`repro.core.ParallelRunner` with an on-disk result cache under
+The figure campaigns run through the registry in
+:mod:`repro.core.figures` on one :class:`repro.core.ParallelRunner`
+(:func:`_bench_runner`) with an on-disk result cache under
 ``.benchmarks/campaign_cache`` (``make clean`` drops it), so the figure
 suite pays for each 100-iteration campaign once per calibration, not
 once per invocation.  ``REPRO_BENCH_WORKERS`` caps the worker-process
@@ -22,16 +23,9 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-import pytest
-
-from repro.core import ExperimentRunner, ParallelRunner, Testbed
+from repro.core import ParallelRunner, Testbed
 from repro.core.cache import ResultCache
-from repro.core.parallel import ml_training_specs
-
-
-@pytest.fixture
-def runner():
-    return ExperimentRunner(think_time_s=30.0, settle_time_s=5.0)
+from repro.core.figures import run_figure
 
 
 def once(benchmark, fn):
@@ -84,8 +78,9 @@ def ml_training_campaign(name: str, scale: str,
     key = (name, scale, iterations)
     if key not in _ML_CAMPAIGNS:
         batch = ML_VARIANTS if name in ML_VARIANTS else [name]
-        specs = ml_training_specs(batch, scale, iterations, seed=29)
-        for spec, outcome in zip(specs, _bench_runner().run(specs)):
-            _ML_CAMPAIGNS[(spec.deployment, scale, iterations)] = (
+        result = run_figure("latency", _bench_runner(), scale=scale,
+                            iterations=iterations, variants=batch, seed=29)
+        for variant, outcome in result.items():
+            _ML_CAMPAIGNS[(variant, scale, iterations)] = (
                 outcome.campaign, outcome.cost)
     return _ML_CAMPAIGNS[key]

@@ -5,33 +5,25 @@ to less than 2 seconds of start time, whereas AWS-Step start time is
 3-5 seconds, and the Az-Queue implementation experiences 10-20 seconds".
 """
 
-from conftest import fresh_testbed, once
+from conftest import _bench_runner, once
 
-from repro.core import ColdStartCampaign, build_ml_training_deployments
+from repro.core.figures import FIGURES, run_figure
 from repro.core.metrics import percentile
-from repro.core.report import render_bars
-
-VARIANTS = ["Az-Queue", "AWS-Step", "Az-Dorch", "Az-Dent"]
 
 
 def test_fig10_cold_start_four_day_campaign(benchmark):
     def run_all():
-        results = {}
-        campaign = ColdStartCampaign(interval_s=3600.0, days=4.0)
-        for name in VARIANTS:
-            testbed = fresh_testbed(seed=17)
-            deployment = build_ml_training_deployments(
-                testbed, "small")[name]
-            results[name] = campaign.run(deployment).cold_start_delays
-        return results
+        # AWS and Azure: Az-Queue, AWS-Step, Az-Dorch and Az-Dent.
+        return run_figure("coldstart", _bench_runner(), days=4.0, seed=17,
+                          platforms=["aws", "azure"])
 
-    delays = once(benchmark, run_all)
+    result = once(benchmark, run_all)
+    print()
+    print(FIGURES["coldstart"].render(result))
+    delays = {name: outcome.campaign.cold_start_delays
+              for name, outcome in result.items()}
     medians = {name: percentile(values, 50)
                for name, values in delays.items()}
-    print()
-    print(render_bars(medians,
-                      title="Fig 10: ML training cold start delay, "
-                            "median of 96 hourly requests", unit="s"))
     for name, values in delays.items():
         print(f"  {name}: min={min(values):.2f}s max={max(values):.2f}s "
               f"n={len(values)}")

@@ -11,48 +11,30 @@ Paper claims:
   worker-independent latency.
 """
 
-from conftest import fresh_testbed, once
+from conftest import _bench_runner, once
 
-from repro.core import build_video_deployments
-from repro.core.metrics import percentile
-from repro.core.report import render_table
+from repro.core.figures import FIGURES, run_figure
 
 WORKER_COUNTS = [1, 5, 10, 20, 40, 80]
 REPEATS = 5
 
 
-def _median_latency(name, n_workers, seeds):
-    latencies = []
-    for seed in seeds:
-        testbed = fresh_testbed(seed=seed)
-        deployment = build_video_deployments(
-            testbed, n_workers=n_workers)[name]
-        deployment.deploy()
-        latencies.append(testbed.run(
-            deployment.invoke(n_workers=n_workers)).latency)
-    return percentile(latencies, 50)
-
-
 def test_fig12_video_latency_vs_workers(benchmark):
     def run_all():
         seeds = list(range(41, 41 + REPEATS))
-        series = {}
-        for name in ("AWS-Step", "Az-Dorch"):
-            series[name] = {workers: _median_latency(name, workers, seeds)
-                            for workers in WORKER_COUNTS}
-        for name in ("AWS-Lambda", "Az-Func"):
-            series[name] = {1: _median_latency(name, 1, seeds)}
-        return series
+        runner = _bench_runner()
+        # Each point is the median over the seeds; the single-function
+        # baselines only run at one worker.
+        scaling = run_figure("video", runner, workers=WORKER_COUNTS,
+                             seeds=seeds, variants=["AWS-Step", "Az-Dorch"])
+        baselines = run_figure("video", runner, workers=[1], seeds=seeds,
+                               variants=["AWS-Lambda", "Az-Func"])
+        return scaling, baselines
 
-    series = once(benchmark, run_all)
-    rows = []
-    for workers in WORKER_COUNTS:
-        rows.append([workers,
-                     series["AWS-Step"][workers],
-                     series["Az-Dorch"][workers]])
+    scaling, baselines = once(benchmark, run_all)
     print()
-    print(render_table(["workers", "AWS-Step (s)", "Az-Dorch (s)"], rows,
-                       title="Fig 12: video processing latency vs workers"))
+    print(FIGURES["video"].render(scaling))
+    series = {**scaling, **baselines}
     print(f"baselines: AWS-Lambda={series['AWS-Lambda'][1]:.0f}s, "
           f"Az-Func={series['Az-Func'][1]:.0f}s")
 

@@ -9,59 +9,29 @@ Paper claims:
 * AWS's transition cost is ~5 % of its total — "83 % less than Azure".
 """
 
-from conftest import fresh_testbed, once
+from conftest import _bench_runner, once
 
-from repro.core import build_video_deployments, cost_report
-from repro.core.costs import monthly_projection
-from repro.core.report import render_table
+from repro.core.figures import FIGURES, run_figure
 
 RUNS_PER_MONTH = 30   # one video-processing run per day
 WORKERS = 20
 MEASURED_RUNS = 5
 
 
-def _idle_polling_transactions(seed: int) -> int:
-    """Measure one idle hour of durable polling, scale to a month."""
-    testbed = fresh_testbed(seed=seed)
-    deployment = build_video_deployments(testbed, n_workers=WORKERS)[
-        "Az-Dorch"]
-    deployment.deploy()
-    testbed.run(deployment.invoke())       # wake the pumps
-    before = len(testbed.azure.meter)
-    testbed.advance(3600.0)
-    per_hour = len(testbed.azure.meter) - before
-    return per_hour * 24 * 30
-
-
 def test_fig15_video_monthly_cost(benchmark):
     def run_all():
-        reports = {}
-        for name in ("AWS-Lambda", "AWS-Step", "Az-Func", "Az-Dorch"):
-            testbed = fresh_testbed(seed=71)
-            deployment = build_video_deployments(
-                testbed, n_workers=WORKERS)[name]
-            deployment.deploy()
-            for _ in range(MEASURED_RUNS):
-                testbed.run(deployment.invoke())
-                testbed.advance(30.0)
-            per_run = cost_report(deployment, per_runs=MEASURED_RUNS)
-            idle = (_idle_polling_transactions(seed=72)
-                    if name == "Az-Dorch" else 0)
-            reports[name] = monthly_projection(
-                per_run, RUNS_PER_MONTH,
-                idle_transactions_per_month=idle)
-        return reports
+        # Az-Dorch's idle polling is metered for the hour after its
+        # measured runs and scaled to a month.
+        return run_figure(
+            "cost", _bench_runner(), workers=WORKERS,
+            measured_runs=MEASURED_RUNS, runs_per_month=RUNS_PER_MONTH,
+            variants=["AWS-Lambda", "AWS-Step", "Az-Func", "Az-Dorch"],
+            seed=71)
 
-    reports = once(benchmark, run_all)
+    costs = once(benchmark, run_all)
     print()
-    print(render_table(
-        ["variant", "compute $/mo", "transaction $/mo", "total $/mo",
-         "tx share"],
-        [[name, report.compute_cost, report.transaction_cost, report.total,
-          f"{report.transaction_share:.0%}"]
-         for name, report in reports.items()],
-        title=f"Fig 15: monthly cost, video processing, {WORKERS} workers, "
-              f"{RUNS_PER_MONTH} runs/month"))
+    print(FIGURES["cost"].render(costs))
+    reports = costs.reports
 
     # Azure durable compute ≈ Azure stateless compute.
     ratio = (reports["Az-Dorch"].compute_cost

@@ -10,9 +10,9 @@ Paper claims:
   remote slow storage".
 """
 
-from conftest import fresh_testbed, once
+from conftest import _bench_runner, once
 
-from repro.core import ExperimentRunner, build_ml_inference_deployments
+from repro.core.figures import run_figure
 from repro.core.report import render_bars
 
 VARIANTS = ["AWS-Step", "Az-Dorch", "Az-Dent"]
@@ -21,15 +21,10 @@ ITERATIONS = 30
 
 def test_fig9_inference_latency_large(benchmark):
     def run_all():
-        campaigns = {}
-        runner = ExperimentRunner(think_time_s=30.0, settle_time_s=5.0)
-        for name in VARIANTS:
-            testbed = fresh_testbed(seed=31)
-            deployment = build_ml_inference_deployments(
-                testbed, "large")[name]
-            campaigns[name] = runner.run_campaign(
-                deployment, iterations=ITERATIONS, warmup=1)
-        return campaigns
+        result = run_figure("inference", _bench_runner(), scale="large",
+                            iterations=ITERATIONS, variants=VARIANTS,
+                            seed=31)
+        return {name: outcome.campaign for name, outcome in result.items()}
 
     campaigns = once(benchmark, run_all)
     medians = {name: campaign.stats().median

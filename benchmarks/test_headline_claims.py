@@ -7,12 +7,9 @@
   application" — Az-Dorch vs AWS-Step median latency, large dataset.
 """
 
-from conftest import fresh_testbed, ml_training_campaign, once
+from conftest import _bench_runner, ml_training_campaign, once
 
-from repro.core import (
-    ExperimentRunner,
-    build_ml_inference_deployments,
-)
+from repro.core.figures import run_figure
 
 
 def test_headline_training_cost_gap(benchmark):
@@ -31,16 +28,11 @@ def test_headline_training_cost_gap(benchmark):
 
 def test_headline_inference_speed_gap(benchmark):
     def run_both():
-        runner = ExperimentRunner(think_time_s=30.0, settle_time_s=5.0)
-        medians = {}
-        for name in ("AWS-Step", "Az-Dorch"):
-            testbed = fresh_testbed(seed=47)
-            deployment = build_ml_inference_deployments(
-                testbed, "large")[name]
-            campaign = runner.run_campaign(deployment, iterations=20,
-                                           warmup=1)
-            medians[name] = campaign.stats().median
-        return medians
+        result = run_figure("inference", _bench_runner(), scale="large",
+                            iterations=20, variants=["AWS-Step", "Az-Dorch"],
+                            seed=47)
+        return {name: outcome.campaign.stats().median
+                for name, outcome in result.items()}
 
     medians = once(benchmark, run_both)
     speedup = medians["AWS-Step"] / medians["Az-Dorch"]

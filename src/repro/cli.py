@@ -9,8 +9,9 @@
     python -m repro cost      --runs-per-month 30
     python -m repro paper     # condensed everything
 
-Each subcommand builds fresh testbeds, runs the campaign on the simulated
-clock and prints the corresponding table/figure.  Campaign commands
+Each figure command and ``paper`` runs entries of
+:data:`repro.core.figures.FIGURES` on the simulated clock and prints the
+rendered table/figure.  Campaign commands
 accept ``--platforms``/``-p`` (a comma list of registered backends, e.g.
 ``-p aws,gcp``) to restrict which platforms' variants run; the default
 is every registered backend.
@@ -42,24 +43,14 @@ from typing import List, Optional
 
 from repro.core.cache import ResultCache
 from repro.core.checkpoint import JournalError, SweepJournal
-from repro.core.costs import monthly_projection
-from repro.core.parallel import CampaignSpec, ParallelRunner
+from repro.core.figures import FIGURES, PAPER, select_variants
+from repro.core.parallel import WORKLOAD_VARIANTS, CampaignSpec, ParallelRunner
 from repro.core.persistence import save_results
-from repro.core.metrics import percentile
-from repro.core.report import render_bars, render_table
+from repro.core.report import render_table
 from repro.platforms.backend import backend_names
 from repro.platforms.faults import FaultPlan
 
-ML_VARIANTS = ["AWS-Lambda", "AWS-Step", "Az-Func", "Az-Queue", "Az-Dorch",
-               "Az-Dent", "GCP-Func", "GCP-Flows"]
-
-#: Which registered backend each deployment variant runs on.
-VARIANT_PLATFORMS = {
-    "AWS-Lambda": "aws", "AWS-Step": "aws",
-    "Az-Func": "azure", "Az-Queue": "azure",
-    "Az-Dorch": "azure", "Az-Dent": "azure",
-    "GCP-Func": "gcp", "GCP-Flows": "gcp",
-}
+ML_VARIANTS = list(WORKLOAD_VARIANTS["ml-training"])
 
 
 def _variants(value: str) -> List[str]:
@@ -88,13 +79,10 @@ def _selected_platforms(args: argparse.Namespace) -> List[str]:
 
 def _filter_variants(names, platforms: List[str]) -> List[str]:
     """The variants from ``names`` whose platform is selected."""
-    kept = [name for name in names
-            if VARIANT_PLATFORMS.get(name) in platforms]
-    if not kept:
-        raise SystemExit(
-            f"no variants left after --platforms {','.join(platforms)}; "
-            f"the requested variants were {list(names)}")
-    return kept
+    try:
+        return select_variants(names, platforms)
+    except ValueError as error:
+        raise SystemExit(str(error)) from error
 
 
 def _positive_int(value: str) -> int:
@@ -237,112 +225,29 @@ def _run_specs(args: argparse.Namespace, specs) -> list:
     return result.outcomes
 
 
-def cmd_latency(args: argparse.Namespace) -> int:
-    variants = _filter_variants(args.variants, _selected_platforms(args))
-    specs = [CampaignSpec(deployment=name, workload="ml-training",
-                          scale=args.scale, iterations=args.iterations,
-                          warmup=1, seed=args.seed)
-             for name in variants]
+def cmd_figure(args: argparse.Namespace) -> int:
+    """A paper figure from ``FIGURES``; ``--seed`` is the only seed."""
+    figure = FIGURES[args.command]
+    params = {name: getattr(args, name) for name in figure.defaults
+              if hasattr(args, name)}
+    if "seeds" in figure.defaults:
+        params["seeds"] = [args.seed]
+    p = figure.params(**params)
+    try:
+        specs = figure.specs(p)
+    except ValueError as error:
+        raise SystemExit(str(error)) from error
     outcomes = _run_specs(args, specs)
-    rows = []
-    for name, outcome in zip(variants, outcomes):
-        stats = outcome.campaign.stats()
-        rows.append([name, stats.median, stats.p95, stats.p99])
-    print(render_table(["variant", "median s", "p95 s", "p99 s"], rows,
-                       title=f"ML training latency ({args.scale}, "
-                             f"{args.iterations} iterations)"))
+    result = figure.reduce(p, specs, outcomes)
+    print(figure.render(result))
     if getattr(args, "save", None):
         path = save_results(
             args.save,
             campaigns=[outcome.campaign for outcome in outcomes],
             cost_reports=[outcome.cost for outcome in outcomes],
-            metadata={"command": "latency", "scale": args.scale,
-                      "iterations": args.iterations, "seed": args.seed})
+            metadata={"command": args.command, **params})
         print(f"\nresults saved to {path}")
-    return 0
-
-
-def cmd_inference(args: argparse.Namespace) -> int:
-    variants = _filter_variants(["AWS-Step", "Az-Dorch", "Az-Dent",
-                                 "GCP-Flows"], _selected_platforms(args))
-    specs = [CampaignSpec(deployment=name, workload="ml-inference",
-                          scale=args.scale, iterations=args.iterations,
-                          warmup=1, seed=args.seed)
-             for name in variants]
-    outcomes = _run_specs(args, specs)
-    rows = [[name, outcome.campaign.stats().median,
-             outcome.campaign.stats().p99]
-            for name, outcome in zip(variants, outcomes)]
-    print(render_table(["variant", "median s", "p99 s"], rows,
-                       title=f"ML inference latency ({args.scale})"))
-    return 0
-
-
-def cmd_coldstart(args: argparse.Namespace) -> int:
-    variants = _filter_variants(["Az-Queue", "AWS-Step", "Az-Dorch",
-                                 "Az-Dent", "GCP-Flows"],
-                                _selected_platforms(args))
-    specs = [CampaignSpec(deployment=name, workload="ml-training",
-                          scale="small", campaign="coldstart",
-                          interval_s=3600.0, days=args.days, seed=args.seed)
-             for name in variants]
-    outcomes = _run_specs(args, specs)
-    data = {name: percentile(outcome.campaign.cold_start_delays, 50)
-            for name, outcome in zip(variants, outcomes)}
-    request_count = len(outcomes[0].campaign.runs)
-    print(render_bars(data, title=f"Cold start delay, median of "
-                                  f"{request_count} hourly "
-                                  "requests", unit="s"))
-    return 0
-
-
-def cmd_video(args: argparse.Namespace) -> int:
-    variants = _filter_variants(["AWS-Step", "Az-Dorch", "GCP-Flows"],
-                                _selected_platforms(args))
-    specs = []
-    for workers in args.workers:
-        for name in variants:
-            specs.append(CampaignSpec(
-                deployment=name, workload="video", fanout=workers,
-                campaign="latency", iterations=1, warmup=0,
-                think_time_s=0.0, settle_time_s=0.0, seed=args.seed,
-                invoke_kwargs={"n_workers": workers}))
-    outcomes = iter(_run_specs(args, specs))
-    rows = []
-    for workers in args.workers:
-        row = [workers]
-        for _ in variants:
-            row.append(next(outcomes).campaign.latencies[0])
-        rows.append(row)
-    print(render_table(["workers"] + [f"{name} (s)" for name in variants],
-                       rows, title="Video processing latency vs workers"))
-    return 0
-
-
-def cmd_cost(args: argparse.Namespace) -> int:
-    variants = _filter_variants(["AWS-Step", "Az-Dorch", "GCP-Flows"],
-                                _selected_platforms(args))
-    specs = [CampaignSpec(
-        deployment=name, workload="video", fanout=args.workers,
-        campaign="latency", iterations=args.measured_runs, warmup=0,
-        think_time_s=30.0, settle_time_s=0.0, seed=args.seed,
-        idle_window_s=3600.0 if name == "Az-Dorch" else 0.0)
-        for name in variants]
-    outcomes = _run_specs(args, specs)
-    rows = []
-    for name, outcome in zip(variants, outcomes):
-        idle = outcome.idle_transactions * 24 * 30
-        projected = monthly_projection(outcome.cost, args.runs_per_month,
-                                       idle_transactions_per_month=idle)
-        rows.append([name, projected.compute_cost,
-                     projected.transaction_cost, projected.total,
-                     f"{projected.transaction_share:.0%}"])
-    print(render_table(
-        ["variant", "compute $/mo", "transactions $/mo", "total $/mo",
-         "tx share"],
-        rows, title=f"Monthly video cost, {args.workers} workers, "
-                    f"{args.runs_per_month} runs/month"))
-    return 0
+    return 0 if figure.passed(result) else 1
 
 
 def cmd_reliability(args: argparse.Namespace) -> int:
@@ -655,19 +560,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def cmd_takeaways(args: argparse.Namespace) -> int:
-    from repro.core.takeaways import (
-        evaluate_ml_takeaways,
-        evaluate_video_takeaways,
-        render_takeaways,
-    )
-    takeaways = (evaluate_ml_takeaways(iterations=args.iterations,
-                                       seed=args.seed)
-                 + evaluate_video_takeaways(seed=args.seed))
-    print(render_takeaways(takeaways))
-    return 0 if all(takeaway.holds for takeaway in takeaways) else 1
-
-
 def cmd_cache(args: argparse.Namespace) -> int:
     cache = ResultCache(getattr(args, "cache_dir", None))
     if args.clear:
@@ -839,16 +731,11 @@ def cmd_fuzz_shrink(args: argparse.Namespace) -> int:
 def cmd_paper(args: argparse.Namespace) -> int:
     print("Condensed paper reproduction "
           "(full version: pytest benchmarks/ --benchmark-only -s)\n")
-    args.scale = "small"
-    args.iterations = 8
-    args.variants = ML_VARIANTS
-    cmd_latency(args)
-    print()
-    args.workers = [1, 20, 80]
-    cmd_video(args)
-    print()
-    args.days = 1.0
-    cmd_coldstart(args)
+    for index, (name, params) in enumerate(PAPER):
+        if index:
+            print()
+        cmd_figure(argparse.Namespace(**{**vars(args), "command": name,
+                                         "save": None, **params}))
     return 0
 
 
@@ -860,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="testbed random seed")
     parser.add_argument("--save", metavar="PATH", default=None,
                         help="write campaign results to a JSON file "
-                             "(latency command)")
+                             "(figure commands)")
     parser.add_argument("--jobs", "-j", type=_positive_int, default=1,
                     metavar="N",
                         help="campaign worker processes (default 1)")
@@ -912,39 +799,36 @@ def build_parser() -> argparse.ArgumentParser:
         help="restart budget per campaign after worker crashes, stalls "
              "or timeouts (default 2 with --journal or --spec-timeout, "
              "else 0)")
+    # Figures whose --workers is not a fan-out width take it for -j.
+    jobs_alias = argparse.ArgumentParser(add_help=False)
+    jobs_alias.add_argument("--workers", type=_positive_int, dest="jobs",
+                            metavar="N", default=argparse.SUPPRESS,
+                            help="campaign worker processes (alias for -j)")
+    figure_parents = [cache_opts, platform_opts, supervise_opts, jobs_alias]
     commands = parser.add_subparsers(dest="command", required=True)
 
     latency = commands.add_parser(
-        "latency", parents=[cache_opts, platform_opts, supervise_opts], help="ML training latency across variants (Fig 6)")
+        "latency", parents=figure_parents,
+        help="ML training latency across variants (Fig 6)")
     latency.add_argument("--scale", choices=["small", "large"],
                          default="small")
     latency.add_argument("--iterations", type=int, default=10)
     latency.add_argument("--variants", type=_variants, default=ML_VARIANTS)
-    latency.add_argument("--workers", type=_positive_int, dest="jobs",
-                         metavar="N",
-                         default=argparse.SUPPRESS,
-                         help="campaign worker processes (alias for -j)")
-    latency.set_defaults(func=cmd_latency)
+    latency.set_defaults(func=cmd_figure)
 
     inference = commands.add_parser(
-        "inference", parents=[cache_opts, platform_opts, supervise_opts], help="ML inference latency (Fig 9)")
+        "inference", parents=figure_parents,
+        help="ML inference latency (Fig 9)")
     inference.add_argument("--scale", choices=["small", "large"],
                            default="small")
     inference.add_argument("--iterations", type=int, default=10)
-    inference.add_argument("--workers", type=_positive_int, dest="jobs",
-                         metavar="N",
-                           default=argparse.SUPPRESS,
-                           help="campaign worker processes (alias for -j)")
-    inference.set_defaults(func=cmd_inference)
+    inference.set_defaults(func=cmd_figure)
 
     coldstart = commands.add_parser(
-        "coldstart", parents=[cache_opts, platform_opts, supervise_opts], help="hourly cold-start campaign (Fig 10)")
+        "coldstart", parents=figure_parents,
+        help="hourly cold-start campaign (Fig 10)")
     coldstart.add_argument("--days", type=float, default=4.0)
-    coldstart.add_argument("--workers", type=_positive_int, dest="jobs",
-                         metavar="N",
-                           default=argparse.SUPPRESS,
-                           help="campaign worker processes (alias for -j)")
-    coldstart.set_defaults(func=cmd_coldstart)
+    coldstart.set_defaults(func=cmd_figure)
 
     video = commands.add_parser(
         "video", parents=[cache_opts, platform_opts, supervise_opts], help="video fan-out scaling (Fig 12); use -j for "
@@ -952,7 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
     video.add_argument("--workers", type=_worker_list,
                        default=[1, 5, 10, 20, 40, 80],
                        help="fan-out widths to sweep (paper x-axis)")
-    video.set_defaults(func=cmd_video)
+    video.set_defaults(func=cmd_figure)
 
     cost = commands.add_parser(
         "cost", parents=[cache_opts, platform_opts, supervise_opts], help="monthly video cost projection (Fig 15); use -j for "
@@ -961,7 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="fan-out width of the measured deployment")
     cost.add_argument("--runs-per-month", type=int, default=30)
     cost.add_argument("--measured-runs", type=int, default=4)
-    cost.set_defaults(func=cmd_cost)
+    cost.set_defaults(func=cmd_figure)
 
     reliability = commands.add_parser(
         "reliability", parents=[cache_opts, platform_opts, supervise_opts],
@@ -1140,9 +1024,10 @@ def build_parser() -> argparse.ArgumentParser:
     audit.set_defaults(func=cmd_audit)
 
     takeaways = commands.add_parser(
-        "takeaways", help="re-derive the paper's key-takeaway bullets")
+        "takeaways", parents=[cache_opts, supervise_opts],
+        help="re-derive the paper's key-takeaway bullets")
     takeaways.add_argument("--iterations", type=int, default=8)
-    takeaways.set_defaults(func=cmd_takeaways)
+    takeaways.set_defaults(func=cmd_figure)
 
     cache = commands.add_parser(
         "cache", parents=[cache_opts], help="inspect or clear the campaign result cache")

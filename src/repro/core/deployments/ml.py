@@ -10,7 +10,7 @@ remote storage").
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional, Type
 
 from repro.azure import EntityId, EntitySpec, OrchestratorSpec, QueueChain
 from repro.azure.app import TRIGGER_HTTP
@@ -1178,6 +1178,26 @@ def _first_execution_delay(telemetry, since: float) -> Optional[float]:
     return min(starts) - since if starts else None
 
 
+#: every ML-training variant (Table II plus the GCP extension), by name
+ML_TRAINING_DEPLOYMENTS: Dict[str, Type[Deployment]] = {
+    "AWS-Lambda": AWSLambdaMLTraining,
+    "AWS-Step": AWSStepMLTraining,
+    "Az-Func": AzureFuncMLTraining,
+    "Az-Queue": AzureQueueMLTraining,
+    "Az-Dorch": AzureDorchMLTraining,
+    "Az-Dent": AzureDentMLTraining,
+    "GCP-Func": GCPFuncMLTraining,
+    "GCP-Flows": GCPWorkflowsMLTraining,
+}
+#: the paper's three inference variants (Fig 9) plus GCP-Flows, by name
+ML_INFERENCE_DEPLOYMENTS: Dict[str, Type[Deployment]] = {
+    "AWS-Step": AWSStepMLInference,
+    "Az-Dorch": AzureDorchMLInference,
+    "Az-Dent": AzureDentMLInference,
+    "GCP-Flows": GCPWorkflowsMLInference,
+}
+
+
 def build_ml_training_deployments(testbed: Testbed, scale: str,
                                   seed: int = 0) -> Dict[str, Deployment]:
     """All six Table II variants plus the GCP extension variants.
@@ -1186,18 +1206,8 @@ def build_ml_training_deployments(testbed: Testbed, scale: str,
     restriction) are omitted.
     """
     workload = ml_workload(scale, seed)
-    deployments = {
-        "AWS-Lambda": AWSLambdaMLTraining,
-        "AWS-Step": AWSStepMLTraining,
-        "Az-Func": AzureFuncMLTraining,
-        "Az-Queue": AzureQueueMLTraining,
-        "Az-Dorch": AzureDorchMLTraining,
-        "Az-Dent": AzureDentMLTraining,
-        "GCP-Func": GCPFuncMLTraining,
-        "GCP-Flows": GCPWorkflowsMLTraining,
-    }
     return {name: cls(testbed, workload)
-            for name, cls in deployments.items()
+            for name, cls in ML_TRAINING_DEPLOYMENTS.items()
             if cls.platform in testbed.platform_names}
 
 
@@ -1205,12 +1215,6 @@ def build_ml_inference_deployments(testbed: Testbed, scale: str,
                                    seed: int = 0) -> Dict[str, Deployment]:
     """The paper's three inference variants (Fig 9) plus GCP-Flows."""
     workload = ml_workload(scale, seed)
-    deployments = {
-        "AWS-Step": AWSStepMLInference,
-        "Az-Dorch": AzureDorchMLInference,
-        "Az-Dent": AzureDentMLInference,
-        "GCP-Flows": GCPWorkflowsMLInference,
-    }
     return {name: cls(testbed, workload)
-            for name, cls in deployments.items()
+            for name, cls in ML_INFERENCE_DEPLOYMENTS.items()
             if cls.platform in testbed.platform_names}

@@ -14,7 +14,7 @@ storage").
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Optional, Type
 
 from repro.azure import OrchestratorSpec
 from repro.azure.app import TRIGGER_HTTP
@@ -464,6 +464,16 @@ def _seed_video_blobs(blob, workload: VideoWorkload) -> Generator:
     return None
 
 
+#: the paper's four video variants (Fig 12/13/15) plus GCP-Flows, by name
+VIDEO_DEPLOYMENTS: Dict[str, Type[Deployment]] = {
+    "AWS-Lambda": AWSLambdaVideo,
+    "AWS-Step": AWSStepVideo,
+    "Az-Func": AzureFuncVideo,
+    "Az-Dorch": AzureDorchVideo,
+    "GCP-Flows": GCPWorkflowsVideo,
+}
+
+
 def build_video_deployments(testbed: Testbed, n_workers: int = 20,
                             seed: int = 0) -> Dict[str, Deployment]:
     """The paper's four video variants (Fig 12/13/15) plus GCP-Flows.
@@ -472,13 +482,6 @@ def build_video_deployments(testbed: Testbed, n_workers: int = 20,
     restriction) are omitted.
     """
     workload = video_workload(n_workers, seed)
-    deployments = {
-        "AWS-Lambda": AWSLambdaVideo,
-        "AWS-Step": AWSStepVideo,
-        "Az-Func": AzureFuncVideo,
-        "Az-Dorch": AzureDorchVideo,
-        "GCP-Flows": GCPWorkflowsVideo,
-    }
     return {name: cls(testbed, workload)
-            for name, cls in deployments.items()
+            for name, cls in VIDEO_DEPLOYMENTS.items()
             if cls.platform in testbed.platform_names}

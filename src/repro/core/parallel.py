@@ -96,11 +96,7 @@ from typing import (
 
 from repro.core import audit as audit_mod
 from repro.core.costs import CostReport, cost_report
-from repro.core.deployments import (
-    build_ml_inference_deployments,
-    build_ml_training_deployments,
-    build_video_deployments,
-)
+from repro.core.deployments import DEPLOYMENTS, ml_workload, video_workload
 from repro.core.deployments.base import Deployment
 from repro.core.experiment import (
     CampaignResult,
@@ -217,17 +213,13 @@ class SpecTimeout(SweepError):
                 f"wall-clock deadline")
 
 
-WORKLOADS = ("ml-training", "ml-inference", "video")
-#: deployment variants each workload can build (mirrors the
-#: ``build_*_deployments`` maps, kept literal so spec validation needs
-#: no workload construction)
-WORKLOAD_VARIANTS = {
-    "ml-training": ("AWS-Lambda", "AWS-Step", "Az-Func", "Az-Queue",
-                    "Az-Dorch", "Az-Dent", "GCP-Func", "GCP-Flows"),
-    "ml-inference": ("AWS-Step", "Az-Dorch", "Az-Dent", "GCP-Flows"),
-    "video": ("AWS-Lambda", "AWS-Step", "Az-Func", "Az-Dorch",
-              "GCP-Flows"),
-}
+WORKLOADS = tuple(DEPLOYMENTS)
+#: deployment variants each workload can build, in the builders' order
+WORKLOAD_VARIANTS = {workload: tuple(table)
+                     for workload, table in DEPLOYMENTS.items()}
+#: which registered backend each deployment variant runs on
+VARIANT_PLATFORMS = {name: cls.platform for table in DEPLOYMENTS.values()
+                     for name, cls in table.items()}
 
 
 def _frozen_items(value: Any) -> Tuple[Tuple[str, Any], ...]:
@@ -427,20 +419,12 @@ class CampaignSpec:
             seed=self.seed, calibrations=self.calibrations(),
             fault_plan=None if baseline else self.fault_plan_obj(),
             audit=not baseline and audit_mod.enabled_for(self.audit))
-        if self.workload == "ml-training":
-            variants = build_ml_training_deployments(
-                testbed, self.scale, seed=self.workload_seed)
-        elif self.workload == "ml-inference":
-            variants = build_ml_inference_deployments(
-                testbed, self.scale, seed=self.workload_seed)
+        if self.workload == "video":
+            workload = video_workload(self.fanout, self.workload_seed)
         else:
-            variants = build_video_deployments(
-                testbed, n_workers=self.fanout, seed=self.workload_seed)
-        if self.deployment not in variants:
-            raise KeyError(
-                f"workload {self.workload!r} has no variant "
-                f"{self.deployment!r}; choose from {sorted(variants)}")
-        deployment = variants[self.deployment]
+            workload = ml_workload(self.scale, self.workload_seed)
+        deployment = DEPLOYMENTS[self.workload][self.deployment](
+            testbed, workload)
         deployment.deploy()
         return deployment
 
@@ -545,12 +529,9 @@ def _prewarm_workloads(specs: Iterable[CampaignSpec]) -> None:
     for dataset generation and model training once here means every
     worker inherits the memo instead of re-training per process.
     """
-    from repro.core.deployments.ml import ml_workload
-    from repro.core.deployments.video import video_workload
-
     for spec in specs:
         if spec.workload in ("ml-training", "ml-inference"):
-            ml_workload(spec.scale, spec.workload_seed)
+            ml_workload(spec.scale, spec.workload_seed).trained
         else:
             video_workload(spec.fanout, spec.workload_seed)
 
@@ -1116,13 +1097,3 @@ class ParallelRunner:
             # Second signal: the user means *now*.  The journal already
             # holds everything completed before the first signal.
             raise KeyboardInterrupt
-
-
-def ml_training_specs(variants: Sequence[str], scale: str, iterations: int,
-                      seed: int = 0, warmup: int = 1,
-                      **spec_kwargs: Any) -> List[CampaignSpec]:
-    """Latency-campaign specs for a list of ML-training variants."""
-    return [CampaignSpec(deployment=name, workload="ml-training",
-                         scale=scale, iterations=iterations, seed=seed,
-                         warmup=warmup, **spec_kwargs)
-            for name in variants]

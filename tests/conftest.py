@@ -1,4 +1,4 @@
-"""Shared test configuration: run every campaign under the auditor.
+"""Shared test configuration: audit every campaign, cache nothing shared.
 
 The invariant auditor (:mod:`repro.core.audit`) is opt-in for library
 users (``CampaignSpec(audit=...)`` / ``repro --audit``), but the test
@@ -11,6 +11,12 @@ Specs that set ``audit=False`` explicitly still opt out (the tri-state
 ``CampaignSpec.audit`` beats the module default), as do testbeds built
 directly with ``Testbed(audit=False)`` — the default only moves the
 *unspecified* case.
+
+Commands and runners that use the default result cache write it under a
+per-session temporary directory, never under ``~/.cache/repro``: a cache
+entry is keyed by spec, calibration and package version, so a code
+change that moves outcomes without a version bump would otherwise be
+served stale results cached by an earlier run of the suite.
 """
 
 import pytest
@@ -26,3 +32,11 @@ def audit_by_default():
         yield
     finally:
         audit_mod.DEFAULT_AUDIT = previous
+
+
+@pytest.fixture(scope="session", autouse=True)
+def session_result_cache(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR",
+                     str(tmp_path_factory.mktemp("campaign-cache")))
+        yield

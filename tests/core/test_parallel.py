@@ -72,6 +72,18 @@ def test_workload_variants_match_the_builders(workload, build):
     assert sorted(WORKLOAD_VARIANTS) == sorted(WORKLOADS)
 
 
+def test_prewarm_trains_the_ml_pipeline_before_workers_fork():
+    """Forked workers inherit the parent's memo; a workload that is only
+    constructed there would be trained again in every worker."""
+    from repro.core.deployments import ml_workload
+    from repro.core.parallel import _prewarm_workloads
+
+    spec = CampaignSpec(deployment="AWS-Step", workload="ml-inference",
+                        workload_seed=7)
+    _prewarm_workloads([spec])
+    assert ml_workload("small", 7).pipeline._trained
+
+
 def test_spec_hash_is_stable_and_sensitive():
     spec = CampaignSpec(deployment="AWS-Step", iterations=5, seed=3)
     same = CampaignSpec(deployment="AWS-Step", iterations=5, seed=3)

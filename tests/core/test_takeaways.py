@@ -2,22 +2,22 @@
 
 import pytest
 
-from repro.core.takeaways import (
-    Takeaway,
-    evaluate_ml_takeaways,
-    evaluate_video_takeaways,
-    render_takeaways,
-)
+from repro.core.figures import Takeaway, render_takeaways, run_figure
 
 
 @pytest.fixture(scope="module")
-def ml_takeaways():
-    return evaluate_ml_takeaways(iterations=5, seed=1)
+def takeaways():
+    return run_figure("takeaways", iterations=5, seed=1)
 
 
 @pytest.fixture(scope="module")
-def video_takeaways():
-    return evaluate_video_takeaways(seed=1)
+def ml_takeaways(takeaways):
+    return [takeaway for takeaway in takeaways if takeaway.section == "V-A"]
+
+
+@pytest.fixture(scope="module")
+def video_takeaways(takeaways):
+    return [takeaway for takeaway in takeaways if takeaway.section == "V-B"]
 
 
 def test_ml_takeaways_all_hold(ml_takeaways):

@@ -5,6 +5,7 @@ import doctest
 import pytest
 
 import repro.core.arrivals
+import repro.core.figures
 import repro.core.workflow
 import repro.sim
 import repro.sim.rng
@@ -20,6 +21,7 @@ MODULES = [
     repro.storage.payload,
     repro.telemetry.spans,
     repro.core.arrivals,
+    repro.core.figures,
     repro.core.workflow,
     repro.workloads.ml.dataset,
     repro.workloads.ml.pca,
