@@ -756,9 +756,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", metavar="PATH", default=None,
                         help="campaign cache directory (default "
                              "$REPRO_CACHE_DIR or ~/.cache/repro/campaigns)")
-    # The cache/jobs flags also work after the subcommand (the natural
-    # place to type them); SUPPRESS keeps the top-level values when
-    # absent.
+    # Campaign commands take a backend selection; the default (None)
+    # means every registered backend.
+    parser.add_argument(
+        "--platforms", "-p", type=_platforms, default=None,
+        metavar="NAME,NAME,...",
+        help="restrict variants to these platform backends "
+             f"(default: all of {list(backend_names())})")
+    # The cache/jobs/platform flags also work after the subcommand (the
+    # natural place to type them); SUPPRESS keeps the top-level values
+    # when absent.
     cache_opts = argparse.ArgumentParser(add_help=False)
     cache_opts.add_argument("--no-cache", action="store_true",
                             default=argparse.SUPPRESS,
@@ -770,14 +777,13 @@ def build_parser() -> argparse.ArgumentParser:
                             dest="jobs",
                             metavar="N", default=argparse.SUPPRESS,
                             help=argparse.SUPPRESS)
-    # Campaign commands take a backend selection; the default (None)
-    # means every registered backend.
     platform_opts = argparse.ArgumentParser(add_help=False)
     platform_opts.add_argument(
-        "--platforms", "-p", type=_platforms, default=None,
+        "--platforms", "-p", type=_platforms, default=argparse.SUPPRESS,
         metavar="NAME,NAME,...",
         help="restrict variants to these platform backends "
              f"(default: all of {list(backend_names())})")
+    platform_opts.set_defaults(takes_platforms=True)
     # Crash-safety flags shared by every campaign command.
     supervise_opts = argparse.ArgumentParser(add_help=False)
     supervise_opts.add_argument(
@@ -1106,6 +1112,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.platforms is not None and \
+            not getattr(args, "takes_platforms", False):
+        parser.error(f"{args.command} takes no --platforms")
     # Remember the raw argv so a --journal sweep's manifest can record
     # the command that created it (what `repro resume` re-dispatches).
     args.argv = list(argv) if argv is not None else sys.argv[1:]

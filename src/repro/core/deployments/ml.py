@@ -24,6 +24,7 @@ from repro.core.stage_models import (
 from repro.core.testbed import Testbed
 from repro.platforms.base import FunctionSpec
 from repro.storage.payload import MB
+from repro.telemetry import SpanKind
 from repro.workloads.ml import make_car_pricing_dataset, train_test_split
 from repro.workloads.ml.pipeline import MLPipeline
 from repro.workloads.ml.selection import default_candidates
@@ -1172,10 +1173,13 @@ class AzureDentMLInference(_AzureDurableMLInference):
 # ---------------------------------------------------------------------------
 
 def _first_execution_delay(telemetry, since: float) -> Optional[float]:
-    """Trigger-to-first-function-start delay (the AWS cold-start metric)."""
-    starts = [span.start for span in telemetry.spans
-              if span.kind == "execution" and span.start >= since]
-    return min(starts) - since if starts else None
+    """Trigger-to-first-function-start delay (the AWS cold-start metric).
+
+    The earliest execution span the platform retained at or after
+    ``since``, open or closed, whichever execution it belongs to.
+    """
+    first = telemetry.first_start(SpanKind.EXECUTION, since)
+    return first - since if first is not None else None
 
 
 #: every ML-training variant (Table II plus the GCP extension), by name

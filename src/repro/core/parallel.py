@@ -526,14 +526,17 @@ def _prewarm_workloads(specs: Iterable[CampaignSpec]) -> None:
     """Memoize the real-compute workload artifacts in this process.
 
     Worker processes are forked where the platform allows it, so paying
-    for dataset generation and model training once here means every
-    worker inherits the memo instead of re-training per process.
+    for dataset generation and model training, or for each chunk's
+    sampled face detections, once here means every worker inherits the
+    memo instead of computing it again per process.
     """
     for spec in specs:
         if spec.workload in ("ml-training", "ml-inference"):
             ml_workload(spec.scale, spec.workload_seed).trained
         else:
-            video_workload(spec.fanout, spec.workload_seed)
+            workload = video_workload(spec.fanout, spec.workload_seed)
+            for chunk in workload.chunks():
+                workload.detect_sample(chunk.start_frame)
 
 
 # -- sweep results -----------------------------------------------------------------

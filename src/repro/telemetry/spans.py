@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, insort
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import (Any, Callable, DefaultDict, Dict, Iterable, List,
+                    Optional)
 
 
 class SpanKind:
@@ -53,12 +56,43 @@ class Span:
 class Telemetry:
     """Collects spans against a simulated clock.
 
+    ``spans`` holds every retained span in retention order (the order
+    ``start_span``/``record`` produced them; start order after
+    :meth:`merge`).  Treat it as append-only and read-only: queries go
+    through three indexes over it instead of scanning it:
+
+    * per kind, the retained spans in retention order (``find(kind=…)``
+      walks only that kind's list);
+    * per kind, the retained start times sorted ascending.
+      ``start_span`` stamps the clock, so its start lands at the end;
+      ``record`` takes an explicit, possibly earlier ``start``, which is
+      inserted in order (``insort``).  The list is sorted whatever order
+      spans arrive in, and :meth:`first_start` is one ``bisect``;
+    * ``parent_id`` to the children in retention order
+      (:meth:`children_of` is a dict lookup).
+
+    Each query first indexes the spans retained since the previous one,
+    so every span is indexed once, and a collector nothing queries (most
+    of them) pays nothing for its indexes.  ``reset`` clears the indexes
+    with the spans, ``merge`` gives the merged collector its own, and a
+    disabled collector retains and indexes nothing.  Every query returns
+    exactly what a linear scan of ``spans`` would.
+
+    ``spans_visited`` counts the index entries the queries read (the
+    entry ``first_start`` lands on, each span ``find`` and
+    ``children_of`` examine); neither the ``bisect`` probes nor the
+    one-time indexing of each span count.  It is a deterministic work
+    counter for complexity gates, kept across ``reset``; diagnostic
+    only, it never feeds outcomes, checksums or cache keys.
+
     >>> from repro.sim import Environment
     >>> env = Environment()
     >>> telemetry = Telemetry(clock=lambda: env.now)
     >>> span = telemetry.start_span('invoke', SpanKind.EXECUTION)
     >>> _ = telemetry.end_span(span)
     >>> span.duration
+    0.0
+    >>> telemetry.first_start(SpanKind.EXECUTION, since=0.0)
     0.0
     """
 
@@ -68,6 +102,12 @@ class Telemetry:
         self._clock = clock
         self.enabled = enabled
         self.spans: List[Span] = []
+        #: ``spans[:_indexed]`` are in the indexes below
+        self._indexed = 0
+        self._by_kind: DefaultDict[str, List[Span]] = defaultdict(list)
+        self._starts: DefaultDict[str, List[float]] = defaultdict(list)
+        self._children: DefaultDict[int, List[Span]] = defaultdict(list)
+        self.spans_visited = 0
 
     def start_span(self, name: str, kind: str,
                    parent: Optional[Span] = None,
@@ -110,14 +150,38 @@ class Telemetry:
 
     # -- queries ---------------------------------------------------------------
 
+    def _index(self) -> None:
+        """Add the spans retained since the last query to the indexes."""
+        by_kind, starts, children = \
+            self._by_kind, self._starts, self._children
+        for span in self.spans[self._indexed:]:
+            by_kind[span.kind].append(span)
+            insort(starts[span.kind], span.start)
+            if span.parent_id is not None:
+                children[span.parent_id].append(span)
+        self._indexed = len(self.spans)
+
+    def first_start(self, kind: str, since: float) -> Optional[float]:
+        """The earliest start at or after ``since`` among the retained
+        spans of ``kind``, open or closed; None if there is none."""
+        self._index()
+        starts = self._starts.get(kind, ())
+        index = bisect_left(starts, since)
+        if index == len(starts):
+            return None
+        self.spans_visited += 1
+        return starts[index]
+
     def find(self, kind: Optional[str] = None, name: Optional[str] = None,
              **attributes: Any) -> List[Span]:
-        """All closed spans matching the filters."""
+        """All closed spans matching the filters, in retention order."""
+        self._index()
+        candidates = (self.spans if kind is None
+                      else self._by_kind.get(kind, ()))
+        self.spans_visited += len(candidates)
         matches = []
-        for span in self.spans:
+        for span in candidates:
             if not span.closed:
-                continue
-            if kind is not None and span.kind != kind:
                 continue
             if name is not None and span.name != name:
                 continue
@@ -139,8 +203,11 @@ class Telemetry:
         return sum(self.durations(kind=kind, name=name, **attributes))
 
     def children_of(self, parent: Span) -> List[Span]:
-        """Direct children of ``parent``."""
-        return [span for span in self.spans if span.parent_id == parent.span_id]
+        """Direct children of ``parent``, in retention order."""
+        self._index()
+        children = self._children.get(parent.span_id, [])
+        self.spans_visited += len(children)
+        return list(children)
 
     def merge(self, others: Iterable["Telemetry"]) -> "Telemetry":
         """A new collector holding this one's spans plus others'."""
@@ -154,6 +221,10 @@ class Telemetry:
     def reset(self) -> None:
         """Drop all spans (between experiment iterations)."""
         self.spans.clear()
+        self._indexed = 0
+        self._by_kind.clear()
+        self._starts.clear()
+        self._children.clear()
 
     def __len__(self) -> int:
         return len(self.spans)

@@ -26,6 +26,27 @@ def test_worker_list_parsing():
         _worker_list("a,b")
 
 
+@pytest.mark.parametrize("command", ["video", "latency", "reliability",
+                                     "paper"])
+def test_platforms_parse_on_either_side_of_the_command(command):
+    parser = build_parser()
+    before = parser.parse_args(["-p", "aws,gcp", command])
+    after = parser.parse_args([command, "--platforms", "aws,gcp"])
+    assert before.platforms == after.platforms == ["aws", "gcp"]
+    assert parser.parse_args([command]).platforms is None
+    # After the command wins, as for the cache and jobs flags.
+    both = parser.parse_args(["-p", "azure", command, "-p", "aws"])
+    assert both.platforms == ["aws"]
+
+
+@pytest.mark.parametrize("command", ["takeaways", "cache"])
+def test_platforms_before_a_command_without_them_is_an_error(command,
+                                                             capsys):
+    with pytest.raises(SystemExit):
+        main(["-p", "aws", command])
+    assert "takes no --platforms" in capsys.readouterr().err
+
+
 def test_latency_command_runs(capsys):
     code = main(["latency", "--iterations", "2",
                  "--variants", "AWS-Lambda,AWS-Step"])

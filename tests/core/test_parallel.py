@@ -84,6 +84,20 @@ def test_prewarm_trains_the_ml_pipeline_before_workers_fork():
     assert ml_workload("small", 7).pipeline._trained
 
 
+def test_prewarm_detects_the_video_samples_before_workers_fork():
+    from repro.core.deployments import video_workload
+    from repro.core.parallel import _prewarm_workloads
+
+    spec = CampaignSpec(deployment="AWS-Step", workload="video",
+                        fanout=4, workload_seed=7)
+    _prewarm_workloads([spec])
+    workload = video_workload(4, 7)
+    sampled = {chunk.start_frame + offset
+               for chunk in workload.chunks()
+               for offset in range(workload.detect_frames_per_chunk)}
+    assert set(workload.pipeline._frame_detections) == sampled
+
+
 def test_spec_hash_is_stable_and_sensitive():
     spec = CampaignSpec(deployment="AWS-Step", iterations=5, seed=3)
     same = CampaignSpec(deployment="AWS-Step", iterations=5, seed=3)
